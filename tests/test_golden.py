@@ -1,0 +1,109 @@
+"""Golden streams: the engine's outputs on fixed simulated scenarios, pinned by hash.
+
+World and prediction streams are written with the package's own writers, so
+any change to a track's id, position, size, confidence, status or parent, or
+to the target prediction, changes a hash. The per-frame outcome tuples pin
+the reason the engine gave for every track. A refactor of the engine must
+leave all three byte-identical; a deliberate change of behaviour updates the
+hashes and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from anchorkit.io_jsonl import load_engine_config, write_predictions, write_world_stream
+from anchorkit.simulate import NoiseConfig, build_template, generate
+from anchorkit.tracker import ANCHORED, AnchoringEngine
+
+NOISY = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
+
+# (preset, template, seed, noise): noiseless mixed and carried scenes plus
+# noisy random ones under the default preset, and a panning camera under the
+# slow-anchoring preset.
+CASES = [
+    ("benchmark", "mixed", 0, NoiseConfig()),
+    ("benchmark", "mixed", 1, NoiseConfig()),
+    ("benchmark", "carried", 0, NoiseConfig()),
+    ("benchmark", "carried", 1, NoiseConfig()),
+    ("benchmark", "random", 0, NOISY),
+    ("benchmark", "random", 1, NOISY),
+    ("assembly", "camera", 0, NoiseConfig()),
+]
+
+# sha256 of the world stream, the predictions stream and the outcome tuples.
+GOLDEN = {
+    ("benchmark", "mixed", 0): (
+        "813ce6643827524e8eda37b7d92255b3a3b0998f09bd1b2befbc4768797c95f0",
+        "6b4a84b439fb7eabeee350e2d654f5fb5bf224bd4162beac4a43a913a9cbfcbe",
+        "950808d93473446190a765534a7e044f01e7eae8345a3f389b01b2a0a3921263",
+    ),
+    ("benchmark", "mixed", 1): (
+        "776e4fa4ce1076bbec357d4a865915a0db8b23ce0b6161cfc16ae39457ec8551",
+        "3fa02acbbbe1770cc883382489229acd445efd01363abb5bfba01412ab63edf3",
+        "f2dc7b60cec4dfe35ec519abaeecfe43f4bb7de9a4556fe30eae576cf0c40614",
+    ),
+    ("benchmark", "carried", 0): (
+        "e2d6c432f39ad30a74db8fa229ad6a4018aeb3971ec344c47b5b9ec852f0b2a1",
+        "a9e1b8b0ff93a5d6609ab81759cb275e98aa6b7a806651e71a749ae7d1a4ef6e",
+        "824d6d31341aaaf2ff535cfccf12b2b74305d707c92af3339834f2d10c64b3d1",
+    ),
+    ("benchmark", "carried", 1): (
+        "4801ab892ada11e36b4f5b94907187de600a61a04b49f4c147b3c7986985e526",
+        "9b3d3f2106517f5e14e51aa7220228f453372c434b473596a9064f77a1edeafd",
+        "b6ffc6a27218a31ae47ae0e402358c6ecaa47bfb67b2d85cce3c5b16514a5f01",
+    ),
+    ("benchmark", "random", 0): (
+        "8142c84069a5c5f55ec259abc2642cec57d6c03e13a7b7e900f4e0ea8c9051ad",
+        "4dd5adc7c261fbf18d2be39211bd371f22fe03ea11fd711adf91629977008ea4",
+        "97c45634e33c3cab6509a630c478894d6d1d0a1d115e214f3ae451e22ab7f7bf",
+    ),
+    ("benchmark", "random", 1): (
+        "2d18ec3d60445084912dc15a7fc7dc98a682647dc219c7f953c7e69ce84a714c",
+        "4c8b1033c8d98df48a58650dd2ae0e0d6fa4d7cade4bbe52ea3b38e215215941",
+        "f0a7cc1223cb06cf3ac38bfdb47b13b3dadcd73b5eaa2e54119db41597586ee8",
+    ),
+    ("assembly", "camera", 0): (
+        "bf3a9544e3c4672bd177080274e43059a888e0d2af02592d337a09f0dbcf90f8",
+        "3e7229826df3c539cc2de962f20cff0ea6208820a6424ed2e31ed01af67d798b",
+        "0336bb5996c6b38da486c91dc843c47e9e49ecd3288208932667605296863fca",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(preset, template, seed, noise, tmp_path):
+    record = generate(build_template(template, seed, frames=300, noise=noise))
+    engine = AnchoringEngine(load_engine_config(preset))
+    world, predictions, outcomes = [], [], []
+    for frame in record.frame_inputs():
+        outcomes.append(
+            [
+                (o.anchor_id, o.new_status, o.new_confidence, o.new_position, o.reason)
+                for o in engine.step(frame)
+            ]
+        )
+        world.append((frame.frame_index, tuple(engine.query(ANCHORED))))
+        target = engine.predict("snitch")
+        predictions.append(target.box if target is not None else None)
+    world_path = tmp_path / "world.jsonl"
+    predictions_path = tmp_path / "predictions.jsonl"
+    write_world_stream(world_path, world)
+    write_predictions(predictions_path, predictions)
+    return (
+        _sha(world_path.read_bytes()),
+        _sha(predictions_path.read_bytes()),
+        _sha(repr(outcomes).encode()),
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, template, seed, noise", CASES, ids=[f"{p}-{t}-{s}" for p, t, s, _ in CASES]
+)
+def test_engine_streams_match_golden_hashes(preset, template, seed, noise, tmp_path):
+    assert _run(preset, template, seed, noise, tmp_path) == GOLDEN[(preset, template, seed)]
