@@ -1,8 +1,9 @@
 """Percept-to-anchor correspondence for consecutive frames.
 
-Camera motion is compensated first, then a dissimilarity matrix over
-(position, size) pairs is minimized by optimal one-to-one assignment, and
-matches at or above the cost threshold are discarded.
+A dissimilarity matrix over (position, size) pairs is minimized by optimal
+one-to-one assignment, and matches at or above the cost threshold are
+discarded. ``compensate_camera_motion`` moves tracks into the next frame's
+image coordinates; the engine calls it before actions and alignment.
 """
 
 from __future__ import annotations
@@ -143,20 +144,16 @@ def solve_assignment(
 
 
 def align(
-    percepts: Sequence[Percept],
-    world_model: WorldModel,
-    pose_next: Vec2,
-    config: EngineConfig,
+    percepts: Sequence[Percept], world_model: WorldModel, config: EngineConfig
 ) -> AlignmentResult:
-    """Camera compensation, cost matrix, assignment, and threshold filtering.
+    """Cost matrix, assignment, and threshold filtering.
 
-    All tracked entities (named anchors and provisional candidates) take part.
-    Assigned pairs with cost >= tau are demoted to unmatched on both sides.
+    All tracked entities (named anchors and provisional candidates) take part,
+    at the positions they have in the model: its camera pose must already be
+    the percepts' frame. Assigned pairs with cost >= tau are demoted to
+    unmatched on both sides.
     """
-    tracks = compensate_camera_motion(
-        world_model.all_tracks(), world_model.camera_pose, pose_next
-    )
-    cost = build_cost_matrix(percepts, tracks, config)
+    cost = build_cost_matrix(percepts, world_model.all_tracks(), config)
     pairs = solve_assignment(cost.values, dummy_cost=10.0 * config.tau)
 
     matches = []

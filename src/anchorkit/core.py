@@ -21,6 +21,27 @@ STATUSES = (VISIBLE, OCCLUDED, OUT_OF_VIEW, ATTACHED, LOST)
 CANDIDATE_PREFIX = "cand"
 
 
+def box_corners(box: Box) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) corners of a center/size box."""
+    (cx, cy), (w, h) = box
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
+def box_intersection(box_a: Box, box_b: Box) -> tuple[float, float]:
+    """Width and height of the boxes' intersection; one is <= 0 when they share no area.
+
+    The same corners as ``box_corners``, computed inline: this runs for every
+    anchor-percept pair in occlusion tests and for every object pair in the
+    simulator's cover test.
+    """
+    (ax, ay), (aw, ah) = box_a
+    (bx, by), (bw, bh) = box_b
+    return (
+        min(ax + aw / 2.0, bx + bw / 2.0) - max(ax - aw / 2.0, bx - bw / 2.0),
+        min(ay + ah / 2.0, by + bh / 2.0) - max(ay - ah / 2.0, by - bh / 2.0),
+    )
+
+
 class EngineError(ValueError):
     """Base class for engine-level failures."""
 
@@ -34,15 +55,12 @@ class Attributes:
     """Perceived or estimated attributes of one object.
 
     ``position`` is the bounding-box center in pixels, ``size`` is
-    (width, height) and must be strictly positive. ``extras`` may carry
-    additional named feature vectors (e.g. mean color); the default
-    alignment cost ignores them.
+    (width, height) and must be strictly positive.
     """
 
     object_type: str
     position: Vec2
     size: Vec2
-    extras: Mapping[str, tuple[float, ...]] | None = None
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .core import (
     EngineError,
     Percept,
     WorldModel,
+    box_intersection,
 )
 
 
@@ -51,19 +52,10 @@ def update_confidence(
     return c, False
 
 
-def _corners(box: Box) -> tuple[float, float, float, float]:
-    (cx, cy), (w, h) = box
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-
-
 def boxes_overlap(box_a: Box, box_b: Box) -> bool:
     """True when the boxes share positive area (touching edges do not count)."""
-    ax1, ay1, ax2, ay2 = _corners(box_a)
-    bx1, by1, bx2, by2 = _corners(box_b)
-    return (
-        min(ax2, bx2) - max(ax1, bx1) > 0.0
-        and min(ay2, by2) - max(ay1, by1) > 0.0
-    )
+    width, height = box_intersection(box_a, box_b)
+    return width > 0.0 and height > 0.0
 
 
 def classify_unmatched(
@@ -75,8 +67,9 @@ def classify_unmatched(
     of view when its estimated center falls outside [0, W) x [0, H), otherwise
     lost.
     """
+    box = anchor.box
     for percept in percepts:
-        if boxes_overlap(anchor.box, percept.box):
+        if boxes_overlap(box, percept.box):
             return OCCLUDED
     x, y = anchor.attributes.position
     width, height = config.field_of_view

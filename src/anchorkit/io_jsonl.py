@@ -16,7 +16,8 @@ World record (query results, one line per frame):
 Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 "size"}], "snitch_label"}; prediction record: {"frame", "box": null |
 {"pos", "size"}}. Every stream is ordered by strictly increasing frame
-index.
+index. Detection types must not start with ``cand``: the engine reserves
+that prefix for the ids of provisional tracks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import (
+    CANDIDATE_PREFIX,
     ActionEvent,
     ActionRule,
     Anchor,
@@ -156,6 +158,11 @@ def read_detection_stream(path) -> list[FrameInput]:
             kind = det.get("type")
             if not isinstance(kind, str) or not kind:
                 raise _fail(path, line_no, f"{label}.type must be a non-empty string")
+            if kind.startswith(CANDIDATE_PREFIX):
+                raise _fail(
+                    path, line_no,
+                    f"{label}.type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}",
+                )
             pos = _as_vec(det.get("pos"), path, line_no, f"{label}.pos")
             size = _as_vec(det.get("size"), path, line_no, f"{label}.size")
             if size[0] <= 0 or size[1] <= 0:

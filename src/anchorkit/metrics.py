@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import Box, EngineError
+from .core import Box, EngineError, box_corners, box_intersection
 
 SUBTASKS = ("visible", "occluded", "contained", "carried")
 OVERALL = "overall"
@@ -19,20 +19,13 @@ class EvalError(EngineError):
     """Invalid scoring input."""
 
 
-def box_corners(box: Box) -> tuple[float, float, float, float]:
-    """(x1, y1, x2, y2) corners of a center/size box."""
-    (cx, cy), (w, h) = box
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-
-
 def iou(box_a: Box, box_b: Box) -> float:
     """Intersection area over union area; 1 iff the boxes coincide."""
-    ax1, ay1, ax2, ay2 = box_corners(box_a)
-    bx1, by1, bx2, by2 = box_corners(box_b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
+    iw, ih = box_intersection(box_a, box_b)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
+    ax1, ay1, ax2, ay2 = box_corners(box_a)
+    bx1, by1, bx2, by2 = box_corners(box_b)
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union

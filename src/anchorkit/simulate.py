@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionEvent, Attributes, EngineError, Percept, Vec2
+from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, box_intersection
 from .tracker import FrameInput
 
 LABELS = ("visible", "occluded", "contained", "carried")
@@ -185,18 +185,6 @@ def _camera_pose(waypoints: Sequence[tuple[int, Vec2]], frame: int) -> Vec2:
         if frame <= f1:
             return _lerp_pose(p0, p1, frame - f0, f1 - f0)
     return waypoints[-1][1]
-
-
-def _overlap_area(center_a: Vec2, size_a: Vec2, center_b: Vec2, size_b: Vec2) -> float:
-    ox = min(center_a[0] + size_a[0] / 2, center_b[0] + size_b[0] / 2) - max(
-        center_a[0] - size_a[0] / 2, center_b[0] - size_b[0] / 2
-    )
-    oy = min(center_a[1] + size_a[1] / 2, center_b[1] + size_b[1] / 2) - max(
-        center_a[1] - size_a[1] / 2, center_b[1] - size_b[1] / 2
-    )
-    if ox <= 0.0 or oy <= 0.0:
-        return 0.0
-    return ox * oy
 
 
 def _validate_noise(noise: NoiseConfig) -> None:
@@ -408,21 +396,17 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         covered: dict[str, bool] = {}
         for name in names:
             spec = spec_by_name[name]
+            own_box = (frame_positions[name], spec.size)
             own_area = spec.size[0] * spec.size[1]
             cover = 0.0
             for other in names:
                 if other == name or layer[other] <= layer[name]:
                     continue
-                cover = max(
-                    cover,
-                    _overlap_area(
-                        frame_positions[name],
-                        spec.size,
-                        frame_positions[other],
-                        spec_by_name[other].size,
-                    )
-                    / own_area,
+                ox, oy = box_intersection(
+                    own_box, (frame_positions[other], spec_by_name[other].size)
                 )
+                if ox > 0.0 and oy > 0.0:
+                    cover = max(cover, ox * oy / own_area)
             covered[name] = cover > config.cover_drop_fraction
             ix = frame_positions[name][0] - cam[0]
             iy = frame_positions[name][1] - cam[1]

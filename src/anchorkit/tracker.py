@@ -73,7 +73,6 @@ def _adopt(anchor: Anchor, percept: Percept, frame_index: int, confidence: float
         anchor.attributes,
         position=percept.attributes.position,
         size=percept.attributes.size,
-        extras=percept.attributes.extras,
     )
     return replace(
         anchor,
@@ -95,12 +94,17 @@ def step(
 ) -> tuple[WorldModel, list[HypothesisOutcome]]:
     """Run one full cycle and return the successor model plus per-track outcomes.
 
-    Stage order: camera compensation, action effects, alignment, matched
-    updates (with promotion of candidates that reach the anchoring
-    threshold), attachment propagation, hypothesis classification of
-    unmatched anchors, confidence decay and pruning, then candidate creation
-    for unmatched percepts. A matched anchor that was attached detaches
-    implicitly and resumes independent tracking.
+    Stage order: camera compensation, action effects, alignment, a match pass
+    (matched tracks adopt their percept; candidates that reach the anchoring
+    threshold are promoted), attachment propagation, a maintenance pass
+    (hypothesis classification of unmatched anchors, confidence decay and
+    pruning), then candidate creation for unmatched percepts. Both passes
+    visit anchors, then candidates. A matched anchor that was attached
+    detaches implicitly and resumes independent tracking.
+
+    No track of ``model`` may have been seen after ``model.frame_index``.
+    Raises ``EngineError`` when a candidate whose object type starts with the
+    reserved ``cand`` prefix would be promoted.
     """
     if frame.frame_index <= model.frame_index:
         raise EngineError(
@@ -124,163 +128,120 @@ def step(
         except ActionError:
             continue
 
-    result = align(frame.percepts, work, frame.camera_pose, config)
+    result = align(frame.percepts, work, config)
     percept_by_id = {p.percept_id: p for p in frame.percepts}
-    match_for: dict[str, tuple[Percept, float]] = {
-        aid: (percept_by_id[pid], cost) for pid, aid, cost in result.matches
-    }
+    match_for = {aid: percept_by_id[pid] for pid, aid, _cost in result.matches}
 
+    # Match pass. A track's role is the store it sits in, never its id.
     outcomes: list[HypothesisOutcome] = []
     next_instance = dict(work.next_instance)
     anchors: list[Anchor] = []
     candidates: list[Anchor] = []
-    # Ids carrying this frame's match, keyed by their FINAL id so that
-    # candidates renamed during promotion are not re-processed as unmatched.
-    matched_ids: set[str] = set()
-
-    for anchor in work.anchors:
-        if anchor.anchor_id in match_for:
-            percept, _cost = match_for[anchor.anchor_id]
-            conf, _ = update_confidence(anchor, True, config)
-            updated = _adopt(anchor, percept, t, conf)
-            anchors.append(updated)
-            matched_ids.add(updated.anchor_id)
-            outcomes.append(
-                HypothesisOutcome(
-                    updated.anchor_id, VISIBLE, conf, updated.attributes.position, REASON_MATCHED
-                )
-            )
-        else:
-            anchors.append(anchor)
-
-    for cand in work.candidates:
-        if cand.anchor_id in match_for:
-            percept, _cost = match_for[cand.anchor_id]
-            conf, _ = update_confidence(cand, True, config)
-            updated = _adopt(cand, percept, t, conf)
-            if conf >= config.kappa_anch:
-                kind = updated.object_type
+    for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
+        for track in tracks:
+            percept = match_for.get(track.anchor_id)
+            if percept is None:
+                store.append(track)
+                continue
+            conf, _ = update_confidence(track, True, config)
+            track = _adopt(track, percept, t, conf)
+            reason = REASON_MATCHED
+            if store is candidates and conf >= config.kappa_anch:
+                kind = track.object_type
+                if kind.startswith(CANDIDATE_PREFIX):
+                    raise EngineError(
+                        f"object type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}"
+                    )
                 number = next_instance.get(kind, 0)
                 next_instance[kind] = number + 1
-                promoted = replace(updated, anchor_id=f"{kind}{number}")
-                anchors.append(promoted)
-                matched_ids.add(promoted.anchor_id)
-                outcomes.append(
-                    HypothesisOutcome(
-                        promoted.anchor_id,
-                        VISIBLE,
-                        conf,
-                        promoted.attributes.position,
-                        REASON_NEWLY_ANCHORED,
-                    )
-                )
+                track = replace(track, anchor_id=f"{kind}{number}")
+                reason = REASON_NEWLY_ANCHORED
+                anchors.append(track)
             else:
-                candidates.append(updated)
-                matched_ids.add(updated.anchor_id)
-                outcomes.append(
-                    HypothesisOutcome(
-                        updated.anchor_id, VISIBLE, conf, updated.attributes.position, REASON_MATCHED
-                    )
-                )
-        else:
-            candidates.append(cand)
+                store.append(track)
+            outcomes.append(
+                HypothesisOutcome(track.anchor_id, VISIBLE, conf, track.attributes.position, reason)
+            )
 
     work = replace(
         work, anchors=tuple(anchors), candidates=tuple(candidates), next_instance=next_instance
     )
     work = propagate_attachments(work)
 
-    surviving: list[Anchor] = []
+    # Maintenance pass. Frame indices strictly increase, so a track was matched
+    # in this cycle iff it was last seen at t. Candidates never have a parent
+    # and stay below kappa_anch, so they skip the anchor-only branches.
+    anchors, candidates = [], []
     pruned_ids: set[str] = set()
-    for anchor in work.anchors:
-        if anchor.anchor_id in matched_ids:
-            surviving.append(anchor)
-            continue
-        if anchor.parent is not None:
-            surviving.append(anchor)
+    for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
+        for track in tracks:
+            if track.last_seen_frame == t:
+                store.append(track)
+                continue
+            if track.parent is not None:
+                store.append(track)
+                outcomes.append(
+                    HypothesisOutcome(
+                        track.anchor_id,
+                        ATTACHED,
+                        track.confidence,
+                        track.attributes.position,
+                        REASON_PARENT_FOLLOW,
+                    )
+                )
+                continue
+            if store is candidates:
+                track = replace(track, status=LOST)
+            elif track.confidence >= config.kappa_anch:
+                track = replace(track, status=classify_unmatched(track, frame.percepts, config))
+            conf, prune = update_confidence(track, False, config)
+            if prune:
+                pruned_ids.add(track.anchor_id)
+                outcomes.append(
+                    HypothesisOutcome(
+                        track.anchor_id, track.status, conf, track.attributes.position, REASON_PRUNED
+                    )
+                )
+                continue
+            track = replace(track, confidence=conf)
+            store.append(track)
+            reason = {
+                OCCLUDED: REASON_OCCLUDED,
+                OUT_OF_VIEW: REASON_OUT_OF_VIEW,
+            }.get(track.status, REASON_DECAY)
             outcomes.append(
                 HypothesisOutcome(
-                    anchor.anchor_id,
-                    ATTACHED,
-                    anchor.confidence,
-                    anchor.attributes.position,
-                    REASON_PARENT_FOLLOW,
+                    track.anchor_id, track.status, conf, track.attributes.position, reason
                 )
             )
-            continue
-        if anchor.confidence >= config.kappa_anch:
-            status = classify_unmatched(anchor, frame.percepts, config)
-            anchor = replace(anchor, status=status)
-        conf, prune = update_confidence(anchor, False, config)
-        if prune:
-            pruned_ids.add(anchor.anchor_id)
-            outcomes.append(
-                HypothesisOutcome(
-                    anchor.anchor_id, anchor.status, conf, anchor.attributes.position, REASON_PRUNED
-                )
-            )
-            continue
-        anchor = replace(anchor, confidence=conf)
-        surviving.append(anchor)
-        reason = {
-            OCCLUDED: REASON_OCCLUDED,
-            OUT_OF_VIEW: REASON_OUT_OF_VIEW,
-        }.get(anchor.status, REASON_DECAY)
-        outcomes.append(
-            HypothesisOutcome(
-                anchor.anchor_id, anchor.status, conf, anchor.attributes.position, reason
-            )
-        )
 
     if pruned_ids:
         # Children of pruned parents resume independent tracking in place;
         # they get reclassified on the next cycle.
-        surviving = [
+        anchors = [
             replace(a, parent=None, parent_offset=None, status=LOST)
             if a.parent in pruned_ids
             else a
-            for a in surviving
+            for a in anchors
         ]
 
-    surviving_candidates: list[Anchor] = []
-    for cand in work.candidates:
-        if cand.anchor_id in matched_ids:
-            surviving_candidates.append(cand)
-            continue
-        conf, prune = update_confidence(cand, False, config)
-        if prune:
-            outcomes.append(
-                HypothesisOutcome(
-                    cand.anchor_id, LOST, conf, cand.attributes.position, REASON_PRUNED
-                )
-            )
-            continue
-        cand = replace(cand, confidence=conf, status=LOST)
-        surviving_candidates.append(cand)
-        outcomes.append(
-            HypothesisOutcome(cand.anchor_id, LOST, conf, cand.attributes.position, REASON_DECAY)
-        )
-
     next_candidate = work.next_candidate
-    matched_percept_ids = {pid for pid, _aid, _cost in result.matches}
-    for percept in frame.percepts:
-        if percept.percept_id in matched_percept_ids:
-            continue
+    for pid in result.unmatched_percepts:
         cand = Anchor(
             anchor_id=f"{CANDIDATE_PREFIX}{next_candidate}",
-            attributes=percept.attributes,
+            attributes=percept_by_id[pid].attributes,
             confidence=0.0,
             status=VISIBLE,
             last_seen_frame=t,
         )
         next_candidate += 1
-        surviving_candidates.append(cand)
+        candidates.append(cand)
 
     new_model = replace(
         work,
         frame_index=t,
-        anchors=tuple(surviving),
-        candidates=tuple(surviving_candidates),
+        anchors=tuple(anchors),
+        candidates=tuple(candidates),
         next_candidate=next_candidate,
     )
 

@@ -157,7 +157,6 @@ class TestAlign:
         result = align(
             [make_percept(0), make_percept(1, pos=(50.0, 50.0))],
             WorldModel(),
-            (0.0, 0.0),
             EngineConfig(),
         )
         assert result.matches == ()
@@ -165,14 +164,14 @@ class TestAlign:
 
     def test_close_same_type_pair_matches(self):
         model = WorldModel(anchors=(make_anchor("cube0", pos=(100.0, 100.0)),))
-        result = align([make_percept(0, pos=(103.0, 100.0))], model, (0.0, 0.0), EngineConfig())
+        result = align([make_percept(0, pos=(103.0, 100.0))], model, EngineConfig())
         assert result.matches == ((0, "cube0", 9.0),)
         assert result.unmatched_anchors == ()
 
     def test_pair_at_or_above_tau_is_demoted(self):
         # 84 px apart -> squared distance 7056 >= 6500
         model = WorldModel(anchors=(make_anchor("cube0", pos=(0.0, 0.0)),))
-        result = align([make_percept(0, pos=(84.0, 0.0))], model, (0.0, 0.0), EngineConfig())
+        result = align([make_percept(0, pos=(84.0, 0.0))], model, EngineConfig())
         assert result.matches == ()
         assert result.unmatched_percepts == (0,)
         assert result.unmatched_anchors == ("cube0",)
@@ -184,7 +183,7 @@ class TestAlign:
         )
         percepts = [make_percept(i, pos=tuple(rng.uniform(0, 200, 2))) for i in range(4)]
         config = EngineConfig()
-        base = align(percepts, WorldModel(anchors=anchors), (0.0, 0.0), config)
+        base = align(percepts, WorldModel(anchors=anchors), config)
 
         def shift_anchor(a, d):
             pos = (a.attributes.position[0] + d, a.attributes.position[1] + d)
@@ -197,25 +196,6 @@ class TestAlign:
         shifted = align(
             [shift_percept(p, 37.0) for p in percepts],
             WorldModel(anchors=tuple(shift_anchor(a, 37.0) for a in anchors)),
-            (0.0, 0.0),
             config,
         )
         assert [(m[0], m[1]) for m in base.matches] == [(m[0], m[1]) for m in shifted.matches]
-
-    def test_static_scene_under_pure_camera_motion_matches_at_zero_cost(self):
-        rng = np.random.default_rng(11)
-        world_points = [tuple(rng.uniform(50, 250, 2)) for _ in range(5)]
-        pose_prev, pose_next = (12.0, -7.0), (31.0, 5.0)
-        anchors = tuple(
-            make_anchor(f"cube{i}", pos=(x - pose_prev[0], y - pose_prev[1]))
-            for i, (x, y) in enumerate(world_points)
-        )
-        percepts = [
-            make_percept(i, pos=(x - pose_next[0], y - pose_next[1]))
-            for i, (x, y) in enumerate(world_points)
-        ]
-        model = WorldModel(anchors=anchors, camera_pose=pose_prev)
-        result = align(percepts, model, pose_next, EngineConfig())
-        assert len(result.matches) == 5
-        assert all(cost < 1e-18 for _, _, cost in result.matches)
-        assert [aid for _, aid, _ in sorted(result.matches)] == [a.anchor_id for a in anchors]

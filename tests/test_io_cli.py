@@ -99,6 +99,21 @@ class TestDetectionStreams:
         with pytest.raises(StreamFormatError, match="repeats"):
             read_detection_stream(path)
 
+    def test_reserved_candidate_type_prefix_rejected(self, tmp_path, capsys):
+        path = tmp_path / "reserved.jsonl"
+        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [50, 50], "size": [20, 20]}
+        cand = {"id": 1, "type": "cand", "score": 1.0, "pos": [150, 50], "size": [20, 20]}
+        lines = [
+            {"frame": 0, "detections": [cube]},
+            {"frame": 1, "detections": [cube, cand]},
+        ]
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(StreamFormatError, match=r"reserved\.jsonl:2.*detections\[1\]\.type"):
+            read_detection_stream(path)
+        assert main(["track", "--detections", str(path),
+                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        assert "reserved.jsonl:2" in capsys.readouterr().err
+
 
 class TestWorldStreams:
     def test_round_trip_and_parent_field(self, tmp_path):

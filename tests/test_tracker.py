@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 
 from anchorkit.core import (
@@ -13,6 +14,7 @@ from anchorkit.core import (
     Anchor,
     Attributes,
     EngineConfig,
+    EngineError,
     Percept,
     WorldModel,
     validate_world_model,
@@ -78,6 +80,36 @@ def test_non_monotone_frame_index_rejected():
         step(model, frame(3), CONFIG)
     with pytest.raises(ValueError, match="frame index"):
         step(model, frame(1), CONFIG)
+
+
+def test_static_scene_under_pure_camera_motion_matches_at_zero_cost():
+    rng = np.random.default_rng(11)
+    world_points = [tuple(rng.uniform(50, 250, 2)) for _ in range(5)]
+    pose_prev, pose_next = (12.0, -7.0), (31.0, 5.0)
+    anchors = tuple(
+        make_anchor(f"cube{i}", pos=(x - pose_prev[0], y - pose_prev[1]))
+        for i, (x, y) in enumerate(world_points)
+    )
+    percepts = [
+        make_percept(i, pos=(x - pose_next[0], y - pose_next[1]))
+        for i, (x, y) in enumerate(world_points)
+    ]
+    model = WorldModel(frame_index=0, anchors=anchors, camera_pose=pose_prev)
+    # Only a near-zero cost passes this tau once step has compensated the pan.
+    config = EngineConfig(tau=1e-18)
+    new_model, outcomes = step(model, frame(1, percepts, camera=pose_next), config)
+    assert [(o.anchor_id, o.reason, o.new_position) for o in outcomes] == [
+        (a.anchor_id, "matched", p.attributes.position) for a, p in zip(anchors, percepts)
+    ]
+    assert new_model.candidates == ()
+
+
+def test_promoting_a_reserved_candidate_type_is_rejected():
+    # A promoted "cand" object would be named like a provisional track.
+    engine = AnchoringEngine(CONFIG)
+    engine.step(frame(0, [make_percept(0, kind="cand")]))
+    with pytest.raises(EngineError, match="reserved prefix"):
+        engine.step(frame(1, [make_percept(0, kind="cand")]))
 
 
 def test_contained_target_follows_its_carrier_while_undetected():
