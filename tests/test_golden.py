@@ -11,11 +11,13 @@ hashes and says why.
 from __future__ import annotations
 
 import hashlib
+import random
+from dataclasses import replace
 
 import pytest
 
 from anchorkit.io_jsonl import load_engine_config, write_predictions, write_world_stream
-from anchorkit.simulate import NoiseConfig, build_template, generate
+from anchorkit.simulate import NoiseConfig, build_template, generate, scenario_config_from_json
 from anchorkit.tracker import ANCHORED, AnchoringEngine
 
 NOISY = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
@@ -77,9 +79,57 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# A crowded scene: 48 objects on a jittered 8 x 6 grid in a 1280 x 720
+# viewport, a camera that pans 160 px right and 80 px down and comes back,
+# light noise, and one cone that contains, carries and releases a cube.
+# Hashes as in GOLDEN.
+CROWD_GOLDEN = (
+    "413bb378f744f8833c9d923ec896e83af0f573b724a28238b519bd93c5de2560",
+    "57989bba1d22e48d0f638247f8b3acad2ef5a23eb4a17f7dd83492302cd336d2",
+    "a843b0baafb02a93d54eb7b8003ba00fd964fd67a3a0608519a2b7e367c7988e",
+)
+
+
+def _crowd_scenario(seed: int) -> dict:
+    rng = random.Random(seed)
+    kinds = ("cube", "sphere", "cylinder", "cone")
+    sides = {"cube": 30.0, "sphere": 24.0, "cylinder": 26.0, "cone": 40.0, "snitch": 18.0}
+    objects, names, counts = [], {}, {}
+    for row in range(6):
+        for col in range(8):
+            kind = "snitch" if (col, row) == (4, 3) else kinds[(row * 8 + col) % 4]
+            name = f"{kind}{counts.get(kind, 0)}"
+            counts[kind] = counts.get(kind, 0) + 1
+            names[(col, row)] = name
+            start = [160.0 * (col + 0.5) + rng.uniform(-8.0, 8.0),
+                     120.0 * (row + 0.5) + rng.uniform(-8.0, 8.0)]
+            objects.append({"name": name, "type": kind, "size": [sides[kind]] * 2, "start": start})
+    cone, cube = names[(3, 1)], names[(4, 1)]
+    tx, ty = next(o["start"] for o in objects if o["name"] == cube)
+    carry = [tx + 40.0, ty]
+    return {
+        "seed": seed,
+        "frames": 100,
+        "viewport": [1280.0, 720.0],
+        "objects": objects,
+        "script": [
+            {"kind": "contain", "subject": cone, "start": 10, "end": 30, "target": cube},
+            {"kind": "slide", "subject": cone, "start": 36, "end": 60, "dest": carry},
+            {"kind": "uncontain", "subject": cone, "start": 66, "end": 82, "target": cube,
+             "dest": [carry[0], carry[1] + 45.0]},
+        ],
+        "camera": [[0, [0.0, 0.0]], [10, [0.0, 0.0]], [50, [160.0, 80.0]], [90, [0.0, 0.0]]],
+        "noise": {"miss_rate": 0.05, "ghost_rate": 0.05, "jitter_sigma": 0.5},
+    }
+
+
 def _run(preset, template, seed, noise, tmp_path):
     record = generate(build_template(template, seed, frames=300, noise=noise))
-    engine = AnchoringEngine(load_engine_config(preset))
+    return _hashes(record, load_engine_config(preset), tmp_path)
+
+
+def _hashes(record, config, tmp_path):
+    engine = AnchoringEngine(config)
     world, predictions, outcomes = [], [], []
     for frame in record.frame_inputs():
         outcomes.append(
@@ -107,3 +157,9 @@ def _run(preset, template, seed, noise, tmp_path):
 )
 def test_engine_streams_match_golden_hashes(preset, template, seed, noise, tmp_path):
     assert _run(preset, template, seed, noise, tmp_path) == GOLDEN[(preset, template, seed)]
+
+
+def test_crowded_panning_scene_matches_golden_hashes(tmp_path):
+    record = generate(scenario_config_from_json(_crowd_scenario(0)))
+    config = replace(load_engine_config("benchmark"), field_of_view=(1280.0, 720.0))
+    assert _hashes(record, config, tmp_path) == CROWD_GOLDEN
