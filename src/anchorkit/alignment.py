@@ -8,13 +8,13 @@ image coordinates; the engine calls it before actions and alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Anchor, EngineConfig, EngineError, Percept, Vec2, WorldModel
+from .core import Anchor, Attributes, EngineConfig, EngineError, Percept, Vec2, WorldModel
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,23 @@ def compensate_camera_motion(
     dy = pose_prev[1] - pose_next[1]
     if dx == 0.0 and dy == 0.0:
         return tuple(anchors)
+    # Fields are passed positionally: this runs for every track on every
+    # frame of a pan, and keyword arguments make each construction slower.
     shifted = []
     for anchor in anchors:
-        x, y = anchor.attributes.position
-        attrs = replace(anchor.attributes, position=(x + dx, y + dy))
-        shifted.append(replace(anchor, attributes=attrs))
+        attrs = anchor.attributes
+        x, y = attrs.position
+        shifted.append(
+            Anchor(
+                anchor.anchor_id,
+                Attributes(attrs.object_type, (x + dx, y + dy), attrs.size),
+                anchor.confidence,
+                anchor.status,
+                anchor.last_seen_frame,
+                anchor.parent,
+                anchor.parent_offset,
+            )
+        )
     return tuple(shifted)
 
 

@@ -18,6 +18,7 @@ from .core import (
     EngineError,
     Percept,
     WorldModel,
+    box_corners,
     box_intersection,
 )
 
@@ -59,23 +60,42 @@ def boxes_overlap(box_a: Box, box_b: Box) -> bool:
 
 
 def classify_unmatched(
-    anchor: Anchor, percepts: Sequence[Percept], config: EngineConfig
-) -> str:
-    """Pick the fate of an unmatched, parentless anchor.
+    anchors: Sequence[Anchor], percepts: Sequence[Percept], config: EngineConfig
+) -> list[str]:
+    """Pick the fate of each unmatched, parentless anchor, in the given order.
 
-    Occluded when its estimated box overlaps any detected box, otherwise out
-    of view when its estimated center falls outside [0, W) x [0, H), otherwise
-    lost.
+    Occluded when the anchor's estimated box overlaps any detected box
+    (``boxes_overlap``), otherwise out of view when its estimated center falls
+    outside [0, W) x [0, H), otherwise lost. The engine classifies all of a
+    frame's anchors in one call, and each percept's corners are computed once.
+
+    Overlap in x is ``min(ax2, bx2) > max(ax1, bx1)``, which equals
+    ``box_intersection(...)[0] > 0`` for finite doubles because ``x - y > 0``
+    iff ``x > y`` under IEEE gradual underflow. It holds iff both boxes keep
+    a positive width after rounding to corners (``ax1 < ax2``; a tiny box far
+    from the origin can collapse) and ``bx1 < ax2 and ax1 < bx2``; likewise
+    in y. Collapsed boxes are set aside first, so the per-pair test is four
+    comparisons.
     """
-    box = anchor.box
-    for percept in percepts:
-        if boxes_overlap(box, percept.box):
-            return OCCLUDED
-    x, y = anchor.attributes.position
+    if not anchors:
+        return []
+    corners = [
+        (x1, y1, x2, y2)
+        for x1, y1, x2, y2 in (box_corners(p.box) for p in percepts)
+        if x1 < x2 and y1 < y2
+    ]
     width, height = config.field_of_view
-    if not (0.0 <= x < width and 0.0 <= y < height):
-        return OUT_OF_VIEW
-    return LOST
+    fates = []
+    for anchor in anchors:
+        ax1, ay1, ax2, ay2 = box_corners(anchor.box)
+        for bx1, by1, bx2, by2 in corners if ax1 < ax2 and ay1 < ay2 else ():
+            if bx1 < ax2 and ax1 < bx2 and by1 < ay2 and ay1 < by2:
+                fates.append(OCCLUDED)
+                break
+        else:
+            x, y = anchor.attributes.position
+            fates.append(LOST if 0.0 <= x < width and 0.0 <= y < height else OUT_OF_VIEW)
+    return fates
 
 
 def _replace_anchor(model: WorldModel, updated: Anchor) -> WorldModel:

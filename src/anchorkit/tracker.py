@@ -8,6 +8,7 @@ for stream processing. ``query`` exposes confidence-filtered views and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .alignment import align, compensate_camera_motion
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     OUT_OF_VIEW,
     ActionEvent,
     Anchor,
+    Attributes,
     EngineConfig,
     EngineError,
     Percept,
@@ -68,20 +70,45 @@ class HypothesisOutcome:
     reason: str
 
 
-def _adopt(anchor: Anchor, percept: Percept, frame_index: int, confidence: float) -> Anchor:
-    attrs = replace(
-        anchor.attributes,
-        position=percept.attributes.position,
-        size=percept.attributes.size,
+# Reason codes of the hypotheses that keep an unmatched anchor in place.
+_HELD_REASONS = {OCCLUDED: REASON_OCCLUDED, OUT_OF_VIEW: REASON_OUT_OF_VIEW}
+
+
+# The two helpers below make the tracks on the per-track paths of ``step``.
+# They pass every field positionally, which is cheaper than keywords and far
+# cheaper than ``dataclasses.replace``.
+
+
+def _adopt(
+    track: Anchor, anchor_id: str, percept: Percept, frame_index: int, confidence: float
+) -> Anchor:
+    attrs = percept.attributes
+    return Anchor(
+        anchor_id,
+        Attributes(track.attributes.object_type, attrs.position, attrs.size),
+        confidence,
+        VISIBLE,
+        frame_index,
+        None,
+        None,
     )
-    return replace(
-        anchor,
-        attributes=attrs,
-        confidence=confidence,
-        status=VISIBLE,
-        last_seen_frame=frame_index,
-        parent=None,
-        parent_offset=None,
+
+
+def _restate(track: Anchor, status: str, confidence: float) -> Anchor:
+    # An unmatched track with a new status and confidence; an unchanged track
+    # is kept as it is. ``is``: a held confidence comes back as the same float
+    # object, while a decayed one can equal it and still differ in the sign
+    # of zero.
+    if status == track.status and confidence is track.confidence:
+        return track
+    return Anchor(
+        track.anchor_id,
+        track.attributes,
+        confidence,
+        status,
+        track.last_seen_frame,
+        track.parent,
+        track.parent_offset,
     )
 
 
@@ -96,21 +123,24 @@ def step(
 
     Stage order: camera compensation, action effects, alignment, a match pass
     (matched tracks adopt their percept; candidates that reach the anchoring
-    threshold are promoted), attachment propagation, a maintenance pass
-    (hypothesis classification of unmatched anchors, confidence decay and
-    pruning), then candidate creation for unmatched percepts. Both passes
-    visit anchors, then candidates. A matched anchor that was attached
-    detaches implicitly and resumes independent tracking.
+    threshold are promoted), attachment propagation, hypothesis
+    classification of every unmatched anchor in one call, a maintenance pass
+    (confidence decay and pruning), then candidate creation for unmatched
+    percepts. Both passes visit anchors, then candidates. A matched anchor
+    that was attached detaches implicitly and resumes independent tracking.
+    Percepts are taken in ``percept_id`` order, so the result depends on the
+    frame's set of percepts, never on the order ``frame.percepts`` lists them.
 
-    No track of ``model`` may have been seen after ``model.frame_index``.
-    Raises ``EngineError`` when a candidate whose object type starts with the
-    reserved ``cand`` prefix would be promoted.
+    Raises ``EngineError`` when a track of ``model`` was seen after
+    ``model.frame_index``, or when a candidate whose object type starts with
+    the reserved ``cand`` prefix would be promoted.
     """
     if frame.frame_index <= model.frame_index:
         raise EngineError(
             f"frame index must increase (got {frame.frame_index} after {model.frame_index})"
         )
     t = frame.frame_index
+    percepts = sorted(frame.percepts, key=attrgetter("percept_id"))
 
     work = replace(
         model,
@@ -128,8 +158,8 @@ def step(
         except ActionError:
             continue
 
-    result = align(frame.percepts, work, config)
-    percept_by_id = {p.percept_id: p for p in frame.percepts}
+    result = align(percepts, work, config)
+    percept_by_id = {p.percept_id: p for p in percepts}
     match_for = {aid: percept_by_id[pid] for pid, aid, _cost in result.matches}
 
     # Match pass. A track's role is the store it sits in, never its id.
@@ -139,13 +169,19 @@ def step(
     candidates: list[Anchor] = []
     for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
         for track in tracks:
+            if track.last_seen_frame > model.frame_index:
+                raise EngineError(
+                    f"{track.anchor_id}: last seen at frame {track.last_seen_frame}, "
+                    f"after the model's frame {model.frame_index}"
+                )
             percept = match_for.get(track.anchor_id)
             if percept is None:
                 store.append(track)
                 continue
             conf, _ = update_confidence(track, True, config)
-            track = _adopt(track, percept, t, conf)
+            anchor_id = track.anchor_id
             reason = REASON_MATCHED
+            target = store
             if store is candidates and conf >= config.kappa_anch:
                 kind = track.object_type
                 if kind.startswith(CANDIDATE_PREFIX):
@@ -154,13 +190,13 @@ def step(
                     )
                 number = next_instance.get(kind, 0)
                 next_instance[kind] = number + 1
-                track = replace(track, anchor_id=f"{kind}{number}")
+                anchor_id = f"{kind}{number}"
                 reason = REASON_NEWLY_ANCHORED
-                anchors.append(track)
-            else:
-                store.append(track)
+                target = anchors
+            track = _adopt(track, anchor_id, percept, t, conf)
+            target.append(track)
             outcomes.append(
-                HypothesisOutcome(track.anchor_id, VISIBLE, conf, track.attributes.position, reason)
+                HypothesisOutcome(anchor_id, VISIBLE, conf, track.attributes.position, reason)
             )
 
     work = replace(
@@ -168,9 +204,19 @@ def step(
     )
     work = propagate_attachments(work)
 
-    # Maintenance pass. Frame indices strictly increase, so a track was matched
-    # in this cycle iff it was last seen at t. Candidates never have a parent
-    # and stay below kappa_anch, so they skip the anchor-only branches.
+    # Frame indices strictly increase and no track was seen after the model's
+    # frame, so a track was matched in this cycle iff it was last seen at t.
+    # Every unmatched, parentless anchor at the anchoring gate is classified
+    # in one call.
+    held = [
+        a
+        for a in work.anchors
+        if a.last_seen_frame != t and a.parent is None and a.confidence >= config.kappa_anch
+    ]
+    fate = dict(zip([a.anchor_id for a in held], classify_unmatched(held, percepts, config)))
+
+    # Maintenance pass. Candidates never have a parent and stay below
+    # kappa_anch, so they skip the anchor-only branches.
     anchors, candidates = [], []
     pruned_ids: set[str] = set()
     for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
@@ -191,28 +237,24 @@ def step(
                 )
                 continue
             if store is candidates:
-                track = replace(track, status=LOST)
-            elif track.confidence >= config.kappa_anch:
-                track = replace(track, status=classify_unmatched(track, frame.percepts, config))
+                status = LOST
+            else:
+                status = fate.get(track.anchor_id, track.status)
+            track = _restate(track, status, track.confidence)
             conf, prune = update_confidence(track, False, config)
             if prune:
                 pruned_ids.add(track.anchor_id)
                 outcomes.append(
                     HypothesisOutcome(
-                        track.anchor_id, track.status, conf, track.attributes.position, REASON_PRUNED
+                        track.anchor_id, status, conf, track.attributes.position, REASON_PRUNED
                     )
                 )
                 continue
-            track = replace(track, confidence=conf)
+            track = _restate(track, status, conf)
             store.append(track)
-            reason = {
-                OCCLUDED: REASON_OCCLUDED,
-                OUT_OF_VIEW: REASON_OUT_OF_VIEW,
-            }.get(track.status, REASON_DECAY)
+            reason = _HELD_REASONS.get(status, REASON_DECAY)
             outcomes.append(
-                HypothesisOutcome(
-                    track.anchor_id, track.status, conf, track.attributes.position, reason
-                )
+                HypothesisOutcome(track.anchor_id, status, conf, track.attributes.position, reason)
             )
 
     if pruned_ids:

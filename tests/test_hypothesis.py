@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorkit.core import (
     ATTACHED,
@@ -79,26 +81,98 @@ class TestClassifyUnmatched:
     def test_overlapping_detection_means_occluded(self):
         anchor = make_anchor("a", pos=(100.0, 100.0), size=(20.0, 20.0))
         cone = make_percept(0, kind="cone", pos=(105.0, 100.0), size=(40.0, 40.0))
-        assert classify_unmatched(anchor, [cone], CONFIG) == OCCLUDED
+        assert classify_unmatched([anchor], [cone], CONFIG) == [OCCLUDED]
 
     def test_touching_edges_do_not_count_as_overlap(self):
         anchor = make_anchor("a", pos=(100.0, 100.0), size=(20.0, 20.0))
         neighbor = make_percept(0, pos=(120.0, 100.0), size=(20.0, 20.0))
         assert not boxes_overlap(anchor.box, neighbor.box)
-        assert classify_unmatched(anchor, [neighbor], CONFIG) == LOST
+        assert classify_unmatched([anchor], [neighbor], CONFIG) == [LOST]
 
     def test_center_outside_viewport_is_out_of_view(self):
         anchor = make_anchor("a", pos=(400.0, 120.0))
-        assert classify_unmatched(anchor, [], CONFIG) == OUT_OF_VIEW
+        assert classify_unmatched([anchor], [], CONFIG) == [OUT_OF_VIEW]
 
     def test_boundary_is_exclusive(self):
-        assert classify_unmatched(make_anchor("a", pos=(360.0, 120.0)), [], CONFIG) == OUT_OF_VIEW
-        assert classify_unmatched(make_anchor("a", pos=(359.9, 120.0)), [], CONFIG) == LOST
+        outside = make_anchor("a", pos=(360.0, 120.0))
+        inside = make_anchor("a", pos=(359.9, 120.0))
+        assert classify_unmatched([outside], [], CONFIG) == [OUT_OF_VIEW]
+        assert classify_unmatched([inside], [], CONFIG) == [LOST]
 
     def test_in_view_without_overlap_is_lost(self):
         anchor = make_anchor("a", pos=(100.0, 100.0))
         far = make_percept(0, pos=(300.0, 200.0))
-        assert classify_unmatched(anchor, [far], CONFIG) == LOST
+        assert classify_unmatched([anchor], [far], CONFIG) == [LOST]
+
+
+def reference_fates(anchors, percepts, config):
+    """One ``boxes_overlap`` test per anchor-percept pair, as the engine did before batching."""
+    width, height = config.field_of_view
+    fates = []
+    for anchor in anchors:
+        x, y = anchor.attributes.position
+        if any(boxes_overlap(anchor.box, p.box) for p in percepts):
+            fates.append(OCCLUDED)
+        elif not (0.0 <= x < width and 0.0 <= y < height):
+            fates.append(OUT_OF_VIEW)
+        else:
+            fates.append(LOST)
+    return fates
+
+
+# Boxes of three kinds: anywhere with any size; on a 10 px grid with sizes of
+# 10 or 20 px, so edges touch and corners are shared; far out, where doubles
+# are up to 2 apart and a box of a pixel or two collapses when its corners
+# round onto one value.
+_free_box = st.tuples(
+    st.tuples(st.floats(-50.0, 410.0), st.floats(-50.0, 290.0)),
+    st.tuples(st.floats(1e-3, 120.0), st.floats(1e-3, 120.0)),
+)
+_grid = st.integers(-2, 40).map(lambda k: 10.0 * k)
+_grid_side = st.sampled_from([10.0, 20.0])
+_grid_box = st.tuples(st.tuples(_grid, _grid), st.tuples(_grid_side, _grid_side))
+_far = st.floats(1e15, 1e16)
+_collapsing_box = st.tuples(
+    st.tuples(_far, _far), st.tuples(st.floats(1e-3, 40.0), st.floats(1e-3, 40.0))
+)
+_box = st.one_of(_free_box, _grid_box, _collapsing_box)
+
+TOUCHING = [((100.0, 100.0), (20.0, 20.0))], [((120.0, 100.0), (20.0, 20.0))]
+CORNER = [((100.0, 100.0), (20.0, 20.0))], [((120.0, 120.0), (20.0, 20.0))]
+# At 1e16 doubles are 2 apart, so x +- 0.25 rounds to x: a 0.5 px box is a
+# point, which lies inside a 40 px box there but shares no area with it.
+POINT, SQUARE = ((1e16, 1e16), (0.5, 0.5)), ((1e16, 1e16), (40.0, 40.0))
+COLLAPSED_ANCHOR = [POINT], [SQUARE]
+COLLAPSED_PERCEPT = [SQUARE], [POINT]
+
+
+class TestClassifyUnmatchedBatch:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(anchor_boxes=st.lists(_box, max_size=6), percept_boxes=st.lists(_box, max_size=6))
+    @example(*TOUCHING)
+    @example(*CORNER)
+    @example(*COLLAPSED_ANCHOR)
+    @example(*COLLAPSED_PERCEPT)
+    def test_agrees_with_per_pair_reference(self, anchor_boxes, percept_boxes):
+        anchors = [
+            make_anchor(f"a{i}", pos=pos, size=size) for i, (pos, size) in enumerate(anchor_boxes)
+        ]
+        percepts = [
+            make_percept(i, pos=pos, size=size) for i, (pos, size) in enumerate(percept_boxes)
+        ]
+        assert classify_unmatched(anchors, percepts, CONFIG) == reference_fates(
+            anchors, percepts, CONFIG
+        )
+
+    @pytest.mark.parametrize(
+        "anchor_boxes, percept_boxes", [CORNER, COLLAPSED_ANCHOR, COLLAPSED_PERCEPT]
+    )
+    def test_boundary_contact_is_not_occlusion(self, anchor_boxes, percept_boxes):
+        ((pos, size),), ((ppos, psize),) = anchor_boxes, percept_boxes
+        anchor = make_anchor("a", pos=pos, size=size)
+        percept = make_percept(0, pos=ppos, size=psize)
+        assert not boxes_overlap(anchor.box, percept.box)
+        assert classify_unmatched([anchor], [percept], CONFIG) != [OCCLUDED]
 
 
 class TestApplyAction:

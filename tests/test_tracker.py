@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from anchorkit.core import (
     ATTACHED,
@@ -19,6 +22,7 @@ from anchorkit.core import (
     WorldModel,
     validate_world_model,
 )
+from anchorkit.simulate import NoiseConfig, build_template, generate
 from anchorkit.tracker import (
     ANCHORED,
     INFERABLE,
@@ -80,6 +84,41 @@ def test_non_monotone_frame_index_rejected():
         step(model, frame(3), CONFIG)
     with pytest.raises(ValueError, match="frame index"):
         step(model, frame(1), CONFIG)
+
+
+def test_track_seen_after_the_model_frame_is_rejected():
+    # "Matched this cycle" is read as "last seen at this frame", which only
+    # holds when no track is newer than the model.
+    lost = Anchor("cube0", Attributes("cube", (100.0, 100.0), (20.0, 20.0)), 0.5, LOST, 0)
+    model = WorldModel(anchors=(lost,))
+    with pytest.raises(EngineError, match="cube0: last seen at frame 0"):
+        step(model, frame(0), CONFIG)
+
+
+# Shrinking a 100-frame scenario takes minutes; the failing seed is report enough.
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+@given(seed=st.integers(0, 2**16), order=st.randoms(use_true_random=False))
+def test_output_does_not_depend_on_percept_order(seed, order):
+    noise = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
+    frames = generate(build_template("random", seed, frames=100, noise=noise)).frame_inputs()
+    shuffled = [
+        replace(f, percepts=tuple(order.sample(f.percepts, len(f.percepts)))) for f in frames
+    ]
+
+    def run(stream):
+        model, trace = WorldModel(), []
+        for f in stream:
+            model, outcomes = step(model, f, CONFIG)
+            trace.append((outcomes, model))
+        return trace
+
+    assert run(shuffled) == run(frames)
 
 
 def test_static_scene_under_pure_camera_motion_matches_at_zero_cost():
