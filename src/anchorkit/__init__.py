@@ -45,7 +45,7 @@ from .tracker import (
     step,
 )
 from .heuristic import HeuristicTracker
-from .metrics import aggregate, iou, l2_center, score_stream
+from .metrics import Scenario, aggregate, iou, l2_center, score_stream
 from .simulate import (
     NoiseConfig,
     ObjectSpec,

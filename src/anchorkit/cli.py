@@ -101,9 +101,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 args.template, seed, frames=args.frames, n_objects=args.objects, noise=noise
             )
         record = generate(config)
+        scenario = record.scenario()
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"
-        write_detection_stream(out / f"{stem}.detections.jsonl", record.frame_inputs())
-        write_truth_stream(out / f"{stem}.truth.jsonl", record)
+        write_detection_stream(out / f"{stem}.detections.jsonl", scenario.inputs)
+        write_truth_stream(out / f"{stem}.truth.jsonl", scenario)
         meta = {
             "seed": seed,
             "frames": record.frames,

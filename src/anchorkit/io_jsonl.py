@@ -42,6 +42,7 @@ from .core import (
     Percept,
     Vec2,
 )
+from .metrics import Scenario
 from .tracker import FrameInput
 
 CONFIG_ENV_VAR = "ANCHORKIT_CONFIG"
@@ -282,69 +283,30 @@ def read_predictions(path) -> list[Box | None]:
 # Scenario truth files and loading
 
 
-def write_truth_stream(path, record) -> None:
-    names = [o.name for o in record.objects]
-    spec = {o.name: o for o in record.objects}
+def write_truth_stream(path, scenario: Scenario) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for f in range(record.frames):
+        for frame, label, objects in zip(scenario.inputs, scenario.labels, scenario.objects):
             handle.write(
                 _dump_line(
                     {
-                        "frame": f,
-                        "camera": list(record.camera[f]),
+                        "frame": frame.frame_index,
+                        "camera": list(frame.camera_pose),
                         "objects": [
-                            {
-                                "name": name,
-                                "type": spec[name].object_type,
-                                "pos": list(record.image_position(f, name)),
-                                "size": list(spec[name].size),
-                            }
-                            for name in names
+                            {"name": name, "type": kind, "pos": list(pos), "size": list(size)}
+                            for name, kind, (pos, size) in objects
                         ],
-                        "snitch_label": record.labels[f],
+                        "snitch_label": label,
                     }
                 )
             )
 
 
-@dataclass(frozen=True)
-class LoadedScenario:
-    """Scenario reconstructed from a detections/truth file pair.
-
-    Provides the same scoring surface as a freshly generated record.
-    """
-
-    labels: tuple[str, ...]
-    detections: tuple[tuple[Percept, ...], ...]
-    frames_objects: tuple[tuple[dict, ...], ...]
-    inputs: tuple[FrameInput, ...]
-
-    @property
-    def frames(self) -> int:
-        return len(self.labels)
-
-    def frame_inputs(self) -> list[FrameInput]:
-        return list(self.inputs)
-
-    def target_box(self, frame: int, target_type: str) -> Box:
-        for entry in self.frames_objects[frame]:
-            if entry["type"] == target_type:
-                return (tuple(entry["pos"]), tuple(entry["size"]))
-        raise EngineError(f"no object of type {target_type!r} in truth frame {frame}")
-
-    def first_detection_frame(self, target_type: str) -> int | None:
-        for f, percepts in enumerate(self.detections):
-            if any(p.attributes.object_type == target_type for p in percepts):
-                return f
-        return None
-
-
-def load_scenario(prefix) -> LoadedScenario:
+def load_scenario(prefix) -> Scenario:
     """Load ``<prefix>.detections.jsonl`` + ``<prefix>.truth.jsonl``."""
     prefix = str(prefix)
     inputs = read_detection_stream(prefix + ".detections.jsonl")
     labels: list[str] = []
-    frames_objects: list[tuple[dict, ...]] = []
+    objects: list[tuple[tuple[str, str, Box], ...]] = []
     truth_path = prefix + ".truth.jsonl"
     for line_no, obj in _read_lines(truth_path):
         label = obj.get("snitch_label")
@@ -355,20 +317,13 @@ def load_scenario(prefix) -> LoadedScenario:
         for i, entry in enumerate(obj.get("objects", [])):
             pos = _as_vec(entry.get("pos"), truth_path, line_no, f"objects[{i}].pos")
             size = _as_vec(entry.get("size"), truth_path, line_no, f"objects[{i}].size")
-            entries.append(
-                {"name": entry["name"], "type": entry["type"], "pos": pos, "size": size}
-            )
-        frames_objects.append(tuple(entries))
+            entries.append((entry["name"], entry["type"], (pos, size)))
+        objects.append(tuple(entries))
     if len(labels) != len(inputs):
         raise StreamFormatError(
             f"{prefix}: truth has {len(labels)} frames, detections have {len(inputs)}"
         )
-    return LoadedScenario(
-        labels=tuple(labels),
-        detections=tuple(frame.percepts for frame in inputs),
-        frames_objects=tuple(frames_objects),
-        inputs=tuple(inputs),
-    )
+    return Scenario(tuple(inputs), tuple(labels), tuple(objects))
 
 
 # ---------------------------------------------------------------------------

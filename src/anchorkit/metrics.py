@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import Box, EngineError, box_corners, box_intersection
+from .tracker import FrameInput
 
 SUBTASKS = ("visible", "occluded", "contained", "carried")
 OVERALL = "overall"
@@ -42,6 +43,29 @@ def l2_center(pred: Box | None, truth: Box) -> float:
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """One video to score: the detection stream the trackers read, the
+    subtask label of each frame and, for each frame, the true objects as
+    ``(name, type, box)`` in image coordinates (one truth-file line)."""
+
+    inputs: tuple[FrameInput, ...]
+    labels: tuple[str, ...]
+    objects: tuple[tuple[tuple[str, str, Box], ...], ...]
+
+    def target_box(self, frame: int, target_type: str) -> Box:
+        for _, object_type, box in self.objects[frame]:
+            if object_type == target_type:
+                return box
+        raise EvalError(f"no object of type {target_type!r} in truth frame {frame}")
+
+    def first_detection_frame(self, target_type: str) -> int | None:
+        for f, frame in enumerate(self.inputs):
+            if any(p.attributes.object_type == target_type for p in frame.percepts):
+                return f
+        return None
+
+
+@dataclass(frozen=True)
 class VideoScores:
     """Per-video bucket means. ``scored`` is False when the target was never
     detected, in which case the video is excluded from aggregation."""
@@ -54,9 +78,9 @@ class VideoScores:
 
 
 def score_stream(
-    predictions: Sequence[Box | None], scenario, target_type: str = "snitch"
+    predictions: Sequence[Box | None], scenario: Scenario, target_type: str = "snitch"
 ) -> VideoScores:
-    """Score one video against its scenario record.
+    """Score one video against its scenario.
 
     Frames before the target's first appearance in the detection stream are
     excluded. Each scored frame contributes to its ground-truth subtask

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .core import Anchor, Box, EngineConfig
 from .heuristic import HeuristicTracker
-from .metrics import BucketStats, VideoScores, aggregate, score_stream
+from .metrics import BucketStats, Scenario, VideoScores, aggregate, score_stream
 from .tracker import ANCHORED, AnchoringEngine, FrameInput
 
 TRACKERS = ("aapa", "heuristic")
@@ -61,14 +61,13 @@ def run_tracker(
 
 
 def score_scenarios(
-    scenarios: Sequence, config: EngineConfig, target_type: str = "snitch"
+    scenarios: Sequence[Scenario], config: EngineConfig, target_type: str = "snitch"
 ) -> tuple[list[tuple[str, BucketStats]], dict[str, int]]:
     """Run both trackers over every scenario and aggregate per-subtask stats."""
     per_tracker: dict[str, list[VideoScores]] = {name: [] for name in TRACKERS}
     for scenario in scenarios:
-        frames = scenario.frame_inputs()
         for name in TRACKERS:
-            run = run_tracker(frames, name, config, target_type)
+            run = run_tracker(scenario.inputs, name, config, target_type)
             per_tracker[name].append(score_stream(run.predictions, scenario, target_type))
     rows: list[tuple[str, BucketStats]] = []
     excluded: dict[str, int] = {}

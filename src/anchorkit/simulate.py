@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, box_intersection
+from .metrics import Scenario
 from .tracker import FrameInput
 
 LABELS = ("visible", "occluded", "contained", "carried")
@@ -144,16 +145,6 @@ class ScenarioRecord:
         cx, cy = self.camera[frame]
         return (wx - cx, wy - cy)
 
-    def target_box(self, frame: int, target_type: str):
-        name = self.target_name(target_type)
-        return (self.image_position(frame, name), self.object_spec(name).size)
-
-    def first_detection_frame(self, target_type: str) -> int | None:
-        for f, percepts in enumerate(self.detections):
-            if any(p.attributes.object_type == target_type for p in percepts):
-                return f
-        return None
-
     def frame_inputs(self) -> list[FrameInput]:
         by_frame: dict[int, list[ActionEvent]] = {}
         for event in self.actions:
@@ -167,6 +158,21 @@ class ScenarioRecord:
             )
             for f in range(self.frames)
         ]
+
+    def scenario(self) -> Scenario:
+        """What scoring needs, in image coordinates; equal to what
+        ``load_scenario`` reads back from this record's files."""
+        return Scenario(
+            inputs=tuple(self.frame_inputs()),
+            labels=self.labels,
+            objects=tuple(
+                tuple(
+                    (o.name, o.object_type, (self.image_position(f, o.name), o.size))
+                    for o in self.objects
+                )
+                for f in range(self.frames)
+            ),
+        )
 
 
 def _lerp_pose(p0: Vec2, p1: Vec2, num: int, den: int) -> Vec2:

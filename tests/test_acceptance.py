@@ -64,7 +64,7 @@ def test_criterion_2_noiseless_exactness_on_100_mixed_scenarios():
         assert set(record.labels) == {"visible", "occluded", "contained", "carried"}
         assert h1_violations(record) == []
         run = run_engine_stream(record.frame_inputs(), config, "snitch")
-        videos.append(score_stream(run.predictions, record, "snitch"))
+        videos.append(score_stream(run.predictions, record.scenario(), "snitch"))
     rows, excluded = aggregate(videos)
     elapsed = time.perf_counter() - started
     assert excluded == 0
@@ -90,12 +90,13 @@ def test_criterion_3_engine_beats_heuristic_on_carried_suite():
     engine_videos, heuristic_videos = [], []
     for seed in range(50):
         record = generate(build_template("carried", seed))
-        frames = record.frame_inputs()
+        scenario = record.scenario()
+        frames = scenario.inputs
         engine_videos.append(
-            score_stream(run_engine_stream(frames, config, "snitch").predictions, record)
+            score_stream(run_engine_stream(frames, config, "snitch").predictions, scenario)
         )
         heuristic_videos.append(
-            score_stream(run_heuristic_stream(frames, "snitch").predictions, record)
+            score_stream(run_heuristic_stream(frames, "snitch").predictions, scenario)
         )
     engine_rows = {r.subtask: r for r in aggregate(engine_videos)[0]}
     heuristic_rows = {r.subtask: r for r in aggregate(heuristic_videos)[0]}
@@ -177,10 +178,11 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
             strip(percepts, f) for f, percepts in enumerate(record.detections)
         ),
     )
-    assert record.first_detection_frame("snitch") == reveal
+    scenario = record.scenario()
+    assert scenario.first_detection_frame("snitch") == reveal
 
-    run = run_engine_stream(record.frame_inputs(), config, "snitch")
-    scores = score_stream(run.predictions, record, "snitch")
+    run = run_engine_stream(scenario.inputs, config, "snitch")
+    scores = score_stream(run.predictions, scenario, "snitch")
     assert scores.first_frame == reveal
     assert scores.frame_counts["overall"] == record.frames - reveal
 
@@ -207,7 +209,7 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
         ),
     )
     never_scores = score_stream(
-        run_engine_stream(never.frame_inputs(), config, "snitch").predictions, never
+        run_engine_stream(never.frame_inputs(), config, "snitch").predictions, never.scenario()
     )
     assert not never_scores.scored
     assert aggregate([never_scores])[1] == 1
@@ -252,7 +254,7 @@ def test_criterion_8_external_benchmark_if_provided():
     videos = []
     for prefix in prefixes:
         scenario = load_scenario(prefix)
-        run = run_engine_stream(scenario.frame_inputs(), config, "snitch")
+        run = run_engine_stream(scenario.inputs, config, "snitch")
         videos.append(score_stream(run.predictions, scenario, "snitch"))
     rows, _ = aggregate(videos)
     overall = next(r for r in rows if r.subtask == "overall")

@@ -18,7 +18,7 @@ from anchorkit.io_jsonl import (
     write_predictions,
     write_world_stream,
 )
-from anchorkit.simulate import build_template, generate
+from anchorkit.simulate import TEMPLATES, NoiseConfig, build_template, generate
 from anchorkit.tracker import FrameInput
 from anchorkit.core import ActionEvent, Percept
 
@@ -305,7 +305,7 @@ class TestCli:
                      "--out", str(out)]) == 0
         loaded = load_scenario(out / "scenario")
         assert "carried" in loaded.labels
-        actions = [a for frame in loaded.frame_inputs() for a in frame.actions]
+        actions = [a for frame in loaded.inputs for a in frame.actions]
         assert actions and actions[0].name == "contain"
 
     def test_simulate_rejects_infeasible_scenario_config(self, tmp_path, capsys):
@@ -327,16 +327,14 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert "event 0" in capsys.readouterr().err
 
-    def test_load_scenario_matches_generated_record(self, tmp_path):
-        record = generate(build_template("carried", 4))
-        out = tmp_path / "scn"
-        assert main(["simulate", "--seed", "4", "--template", "carried",
-                     "--out", str(out)]) == 0
-        loaded = load_scenario(out / "scenario")
-        assert loaded.labels == record.labels
-        assert loaded.frames == record.frames
-        for f in (0, 100, 250):
-            assert loaded.target_box(f, "snitch")[0] == pytest.approx(
-                record.target_box(f, "snitch")[0]
-            )
-        assert loaded.first_detection_frame("snitch") == record.first_detection_frame("snitch")
+    def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
+        noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)
+        noise_flags = ["--miss-rate", "0.1", "--ghost-rate", "0.05", "--jitter-sigma", "1.5"]
+        for template in TEMPLATES:
+            for seed in range(2):
+                for noise, flags in ((NoiseConfig(), []), (noisy, noise_flags)):
+                    out = tmp_path / f"{template}_{seed}_{len(flags)}"
+                    assert main(["simulate", "--seed", str(seed), "--template", template,
+                                 "--out", str(out), *flags]) == 0
+                    record = generate(build_template(template, seed, noise=noise))
+                    assert load_scenario(out / "scenario") == record.scenario()

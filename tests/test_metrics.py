@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from anchorkit.core import EngineConfig
+from anchorkit.core import Attributes, EngineConfig, Percept
 from anchorkit.metrics import (
     EvalError,
+    Scenario,
     VideoScores,
     aggregate,
     box_corners,
@@ -16,6 +17,7 @@ from anchorkit.metrics import (
 )
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import build_template, generate
+from anchorkit.tracker import FrameInput
 
 
 def box(cx, cy, w, h):
@@ -62,24 +64,23 @@ class TestL2Center:
         assert l2_center(a, b) == pytest.approx(l2_center(shifted_a, shifted_b))
 
 
-class _FakeScenario:
-    def __init__(self, labels, boxes, first):
-        self.labels = labels
-        self._boxes = boxes
-        self._first = first
-
-    def target_box(self, frame, target_type):
-        return self._boxes[frame]
-
-    def first_detection_frame(self, target_type):
-        return self._first
+def make_scenario(labels, boxes, first):
+    """A scenario whose snitch has the given true boxes and is detected,
+    once per frame, from frame ``first`` on (never if ``first`` is None)."""
+    detected = Percept(0, Attributes("snitch", (0.0, 0.0), (1.0, 1.0)))
+    inputs = tuple(
+        FrameInput(f, (detected,) if first is not None and f >= first else ())
+        for f in range(len(labels))
+    )
+    objects = tuple((("snitch0", "snitch", b),) for b in boxes)
+    return Scenario(inputs, tuple(labels), objects)
 
 
 class TestScoreStream:
     def test_perfect_predictions(self):
         labels = ("visible", "occluded", "contained", "carried")
         boxes = [box(50.0 + f, 60.0, 18.0, 18.0) for f in range(4)]
-        scenario = _FakeScenario(labels, boxes, first=0)
+        scenario = make_scenario(labels, boxes, first=0)
         scores = score_stream(list(boxes), scenario)
         assert scores.scored
         for bucket in ("visible", "occluded", "contained", "carried", "overall"):
@@ -89,7 +90,7 @@ class TestScoreStream:
     def test_frames_before_first_detection_are_excluded(self):
         labels = ("visible",) * 6
         boxes = [box(100.0, 50.0, 10.0, 10.0)] * 6
-        scenario = _FakeScenario(labels, boxes, first=3)
+        scenario = make_scenario(labels, boxes, first=3)
         predictions = [None, None, None] + list(boxes[3:])
         scores = score_stream(predictions, scenario)
         assert scores.first_frame == 3
@@ -97,7 +98,7 @@ class TestScoreStream:
         assert scores.mean_l2["overall"] == 0.0
 
     def test_never_detected_video_is_reported_unscored(self):
-        scenario = _FakeScenario(("visible",) * 5, [box(1, 1, 2, 2)] * 5, first=None)
+        scenario = make_scenario(("visible",) * 5, [box(1, 1, 2, 2)] * 5, first=None)
         scores = score_stream([None] * 5, scenario)
         assert not scores.scored
         _, excluded = aggregate([scores])
@@ -106,18 +107,18 @@ class TestScoreStream:
     def test_missing_predictions_after_first_detection_use_origin_rule(self):
         labels = ("visible", "visible")
         boxes = [box(100.0, 50.0, 10.0, 10.0)] * 2
-        scenario = _FakeScenario(labels, boxes, first=0)
+        scenario = make_scenario(labels, boxes, first=0)
         scores = score_stream([boxes[0], None], scenario)
         assert scores.mean_iou["overall"] == pytest.approx(0.5)
         assert scores.mean_l2["overall"] == pytest.approx(math.sqrt(12500.0) / 2)
 
     def test_length_mismatch_rejected(self):
-        scenario = _FakeScenario(("visible",) * 3, [box(1, 1, 2, 2)] * 3, first=0)
+        scenario = make_scenario(("visible",) * 3, [box(1, 1, 2, 2)] * 3, first=0)
         with pytest.raises(EvalError, match="frames"):
             score_stream([None] * 2, scenario)
 
     def test_unknown_label_rejected(self):
-        scenario = _FakeScenario(("hovering",), [box(1, 1, 2, 2)], first=0)
+        scenario = make_scenario(("hovering",), [box(1, 1, 2, 2)], first=0)
         with pytest.raises(EvalError, match="label"):
             score_stream([None], scenario)
 
@@ -161,7 +162,7 @@ class TestAggregate:
 def test_noiseless_suite_scores_perfectly_end_to_end():
     record = generate(build_template("mixed", 3))
     run = run_engine_stream(record.frame_inputs(), EngineConfig(), "snitch")
-    scores = score_stream(run.predictions, record, "snitch")
+    scores = score_stream(run.predictions, record.scenario(), "snitch")
     for bucket in ("visible", "occluded", "contained", "carried", "overall"):
         assert scores.mean_iou[bucket] == pytest.approx(1.0)
         assert scores.mean_l2[bucket] == pytest.approx(0.0, abs=1e-9)
