@@ -16,8 +16,11 @@ World record (query results, one line per frame):
 Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 "size"}], "snitch_label"}; prediction record: {"frame", "box": null |
 {"pos", "size"}}. Every stream is ordered by strictly increasing frame
-index. Detection types must not start with ``cand``: the engine reserves
-that prefix for the ids of provisional tracks.
+index; line k of a truth file carries the frame of line k of its
+detection stream, and a prediction's frame is its 0-based line position.
+JSON ``true``/``false`` are not numbers. Detection types must not start
+with ``cand``: the engine reserves that prefix for the ids of provisional
+tracks.
 """
 
 from __future__ import annotations
@@ -68,11 +71,17 @@ def _fail(path, line_no: int, message: str) -> StreamFormatError:
     return StreamFormatError(f"{path}:{line_no}: {message}")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of ``kinds``; ``true``/``false`` are not, although
+    ``bool`` is an ``int`` subclass."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _as_vec(value, path, line_no: int, label: str) -> Vec2:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not (_is_number(value[0]) and _is_number(value[1]))
     ):
         raise _fail(path, line_no, f"{label} must be a pair of numbers")
     x, y = float(value[0]), float(value[1])
@@ -88,9 +97,19 @@ def _read_lines(path):
             if not raw:
                 continue
             try:
-                yield line_no, json.loads(raw)
+                obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise _fail(path, line_no, "expected a JSON object")
+            yield line_no, obj
+
+
+def _objects(obj: dict, key: str, path, line_no: int) -> list[dict]:
+    items = obj.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise _fail(path, line_no, f"{key} must be a list of objects")
+    return items
 
 
 def _dump_line(payload: dict) -> str:
@@ -132,10 +151,8 @@ def read_detection_stream(path) -> list[FrameInput]:
     frames: list[FrameInput] = []
     previous = None
     for line_no, obj in _read_lines(path):
-        if not isinstance(obj, dict) or "frame" not in obj:
-            raise _fail(path, line_no, "expected an object with a 'frame' field")
-        frame_index = obj["frame"]
-        if not isinstance(frame_index, int):
+        frame_index = obj.get("frame")
+        if not _is_number(frame_index, int):
             raise _fail(path, line_no, "frame must be an integer")
         if previous is not None and frame_index <= previous:
             raise _fail(
@@ -146,12 +163,10 @@ def read_detection_stream(path) -> list[FrameInput]:
         camera = _as_vec(obj.get("camera", [0.0, 0.0]), path, line_no, "camera")
         percepts = []
         seen_ids: set[int] = set()
-        for i, det in enumerate(obj.get("detections", [])):
+        for i, det in enumerate(_objects(obj, "detections", path, line_no)):
             label = f"detections[{i}]"
-            if not isinstance(det, dict):
-                raise _fail(path, line_no, f"{label} must be an object")
             pid = det.get("id", i)
-            if not isinstance(pid, int):
+            if not _is_number(pid, int):
                 raise _fail(path, line_no, f"{label}.id must be an integer")
             if pid in seen_ids:
                 raise _fail(path, line_no, f"{label}.id {pid} repeats within the frame")
@@ -169,15 +184,15 @@ def read_detection_stream(path) -> list[FrameInput]:
             if size[0] <= 0 or size[1] <= 0:
                 raise _fail(path, line_no, f"{label}.size components must be > 0")
             score = det.get("score", 1.0)
-            if not isinstance(score, (int, float)) or not (0.0 <= score <= 1.0):
+            if not _is_number(score) or not (0.0 <= score <= 1.0):
                 raise _fail(path, line_no, f"{label}.score must lie in [0, 1]")
             percepts.append(
                 Percept(pid, Attributes(kind, pos, size), float(score))
             )
         actions = []
-        for i, act in enumerate(obj.get("actions", [])):
+        for i, act in enumerate(_objects(obj, "actions", path, line_no)):
             label = f"actions[{i}]"
-            if not isinstance(act, dict) or not isinstance(act.get("name"), str):
+            if not isinstance(act.get("name"), str):
                 raise _fail(path, line_no, f"{label} must carry a string 'name'")
             args = act.get("args", [])
             if not isinstance(args, list) or not args or not all(isinstance(a, str) for a in args):
@@ -228,16 +243,24 @@ def read_world_stream(path) -> list[tuple[int, tuple[AnchorRecord, ...]]]:
     previous = None
     for line_no, obj in _read_lines(path):
         frame_index = obj.get("frame")
-        if not isinstance(frame_index, int):
+        if not _is_number(frame_index, int):
             raise _fail(path, line_no, "frame must be an integer")
         if previous is not None and frame_index <= previous:
             raise _fail(path, line_no, "frame index not strictly increasing")
         previous = frame_index
         records = []
-        for i, entry in enumerate(obj.get("anchors", [])):
+        for i, entry in enumerate(_objects(obj, "anchors", path, line_no)):
             label = f"anchors[{i}]"
             pos = _as_vec(entry.get("pos"), path, line_no, f"{label}.pos")
             size = _as_vec(entry.get("size"), path, line_no, f"{label}.size")
+            for key in ("id", "type", "status"):
+                if not isinstance(entry.get(key), str):
+                    raise _fail(path, line_no, f"{label}.{key} must be a string")
+            if not _is_number(entry.get("conf")):
+                raise _fail(path, line_no, f"{label}.conf must be a number")
+            parent = entry.get("parent")
+            if parent is not None and not isinstance(parent, str):
+                raise _fail(path, line_no, f"{label}.parent must be a string")
             records.append(
                 AnchorRecord(
                     anchor_id=entry["id"],
@@ -246,7 +269,7 @@ def read_world_stream(path) -> list[tuple[int, tuple[AnchorRecord, ...]]]:
                     size=size,
                     confidence=float(entry["conf"]),
                     status=entry["status"],
-                    parent=entry.get("parent"),
+                    parent=parent,
                 )
             )
         frames.append((frame_index, tuple(records)))
@@ -269,10 +292,15 @@ def write_predictions(path, predictions: Sequence[Box | None]) -> None:
 def read_predictions(path) -> list[Box | None]:
     out: list[Box | None] = []
     for line_no, obj in _read_lines(path):
+        frame_index = obj.get("frame")
+        if not _is_number(frame_index, int) or frame_index != len(out):
+            raise _fail(path, line_no, f"frame must be {len(out)}, the line's 0-based position")
         box = obj.get("box")
         if box is None:
             out.append(None)
             continue
+        if not isinstance(box, dict):
+            raise _fail(path, line_no, "box must be null or an object")
         pos = _as_vec(box.get("pos"), path, line_no, "box.pos")
         size = _as_vec(box.get("size"), path, line_no, "box.size")
         out.append((pos, size))
@@ -309,15 +337,25 @@ def load_scenario(prefix) -> Scenario:
     objects: list[tuple[tuple[str, str, Box], ...]] = []
     truth_path = prefix + ".truth.jsonl"
     for line_no, obj in _read_lines(truth_path):
+        if len(labels) == len(inputs):
+            raise _fail(truth_path, line_no, f"detections have only {len(inputs)} frames")
+        frame_index = inputs[len(labels)].frame_index
+        if not _is_number(obj.get("frame"), int) or obj["frame"] != frame_index:
+            raise _fail(
+                truth_path, line_no, f"frame must be {frame_index}, as in the detection stream"
+            )
         label = obj.get("snitch_label")
         if not isinstance(label, str):
             raise _fail(truth_path, line_no, "snitch_label must be a string")
         labels.append(label)
         entries = []
-        for i, entry in enumerate(obj.get("objects", [])):
+        for i, entry in enumerate(_objects(obj, "objects", truth_path, line_no)):
+            name, kind = entry.get("name"), entry.get("type")
+            if not (isinstance(name, str) and isinstance(kind, str)):
+                raise _fail(truth_path, line_no, f"objects[{i}] needs a string name and type")
             pos = _as_vec(entry.get("pos"), truth_path, line_no, f"objects[{i}].pos")
             size = _as_vec(entry.get("size"), truth_path, line_no, f"objects[{i}].size")
-            entries.append((entry["name"], entry["type"], (pos, size)))
+            entries.append((name, kind, (pos, size)))
         objects.append(tuple(entries))
     if len(labels) != len(inputs):
         raise StreamFormatError(

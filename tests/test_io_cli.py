@@ -43,6 +43,10 @@ def sample_frames():
     ]
 
 
+def write_lines(path, lines) -> None:
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
 class TestDetectionStreams:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -115,6 +119,29 @@ class TestDetectionStreams:
         assert "reserved.jsonl:2" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "frame, changes, field",
+        [
+            (True, {"id": False, "pos": [True, 1]}, "frame"),
+            (0, {"id": False}, r"detections\[0\]\.id"),
+            (0, {"pos": [True, 1]}, r"detections\[0\]\.pos"),
+            (0, {"score": True}, r"detections\[0\]\.score"),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, frame, changes, field):
+        det = {"id": 0, "type": "cone", "score": 1.0, "pos": [1, 2], "size": [5, 5]}
+        path = tmp_path / "bools.jsonl"
+        write_lines(path, [{"frame": frame, "detections": [dict(det, **changes)]}])
+        with pytest.raises(StreamFormatError, match=rf"bools\.jsonl:1: {field}"):
+            read_detection_stream(path)
+
+    def test_lists_must_hold_objects(self, tmp_path):
+        path = tmp_path / "lists.jsonl"
+        write_lines(path, [{"frame": 0}, {"frame": 1, "actions": 5}])
+        with pytest.raises(StreamFormatError, match=r"lists\.jsonl:2: actions must be a list"):
+            read_detection_stream(path)
+
+
 class TestWorldStreams:
     def test_round_trip_and_parent_field(self, tmp_path):
         path = tmp_path / "world.jsonl"
@@ -162,12 +189,112 @@ class TestWorldStreams:
         assert read_world_stream(path) == [(0, ())]
 
 
+    @pytest.mark.parametrize("key", ["id", "type", "conf", "status"])
+    def test_missing_field_names_field_and_line(self, tmp_path, key):
+        entry = {"id": "cone0", "type": "cone", "pos": [1, 2], "size": [4, 4],
+                 "conf": 0.5, "status": "visible"}
+        del entry[key]
+        path = tmp_path / "world.jsonl"
+        write_lines(path, [{"frame": 0, "anchors": []}, {"frame": 1, "anchors": [entry]}])
+        with pytest.raises(StreamFormatError, match=rf"world\.jsonl:2: anchors\[0\]\.{key}"):
+            read_world_stream(path)
+
+    def test_boolean_confidence_rejected(self, tmp_path):
+        entry = {"id": "cone0", "type": "cone", "pos": [1, 2], "size": [4, 4],
+                 "conf": True, "status": "visible"}
+        path = tmp_path / "world.jsonl"
+        write_lines(path, [{"frame": 0, "anchors": [entry]}])
+        with pytest.raises(StreamFormatError, match=r"world\.jsonl:1: anchors\[0\]\.conf"):
+            read_world_stream(path)
+
+
 class TestPredictions:
     def test_round_trip_with_gaps(self, tmp_path):
         path = tmp_path / "pred.jsonl"
         preds = [((1.5, 2.5), (18.0, 18.0)), None, ((3.0, 4.0), (18.0, 18.0))]
         write_predictions(path, preds)
         assert read_predictions(path) == preds
+
+    @pytest.mark.parametrize(
+        "lines, bad_line, message",
+        [
+            ([{"frame": 0, "box": [1, 2]}], 1, "box must be null or an object"),
+            ([{"frame": 5, "box": None}, {"frame": 1, "box": None}], 1, "frame must be 0"),
+            ([{"frame": 0, "box": None}, {"frame": 2, "box": None}], 2, "frame must be 1"),
+            ([{"frame": False, "box": None}], 1, "frame must be 0"),
+            ([{"box": None}], 1, "frame must be 0"),
+            ([{"frame": 0, "box": {"pos": [True, 1], "size": [2, 2]}}], 1, r"box\.pos"),
+        ],
+    )
+    def test_malformed_lines_name_path_and_line(self, tmp_path, lines, bad_line, message):
+        path = tmp_path / "pred.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(StreamFormatError, match=rf"pred\.jsonl:{bad_line}: {message}"):
+            read_predictions(path)
+
+
+def truth_line(frame, **changes):
+    line = {"frame": frame, "camera": [0, 0], "snitch_label": "visible",
+            "objects": [{"name": "snitch0", "type": "snitch", "pos": [50.5, 60.25],
+                         "size": [18, 18]}]}
+    return dict(line, **changes)
+
+
+class TestTruthFiles:
+    """A truth file beside ``sample_frames()``, whose frames are 0 and 2."""
+
+    def write(self, tmp_path, lines):
+        write_detection_stream(tmp_path / "scn.detections.jsonl", sample_frames())
+        write_lines(tmp_path / "scn.truth.jsonl", lines)
+        return tmp_path / "scn"
+
+    def test_loads_a_scenario(self, tmp_path):
+        scenario = load_scenario(self.write(tmp_path, [truth_line(0), truth_line(2)]))
+        assert scenario.inputs == tuple(sample_frames())
+        assert scenario.target_box(1, "snitch") == ((50.5, 60.25), (18.0, 18.0))
+        assert scenario.first_detection_frame("snitch") == 0
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ([truth_line(2)], "expected a JSON object"),
+            (truth_line(2, objects={"name": "snitch0"}), "objects must be a list of objects"),
+            (truth_line(2, objects=["snitch0"]), "objects must be a list of objects"),
+            (truth_line(2, objects=[{"type": "snitch", "pos": [0, 0], "size": [1, 1]}]),
+             r"objects\[0\] needs a string name and type"),
+            (truth_line(2, objects=[{"name": "s", "type": 3, "pos": [0, 0], "size": [1, 1]}]),
+             r"objects\[0\] needs a string name and type"),
+            (truth_line(1), "frame must be 2, as in the detection stream"),
+            (truth_line(True), "frame must be 2"),
+            (truth_line(2, objects=[{"name": "s", "type": "snitch", "pos": [False, 0],
+                                     "size": [1, 1]}]), r"objects\[0\]\.pos"),
+        ],
+    )
+    def test_malformed_second_line_names_path_and_line(self, tmp_path, second, message):
+        prefix = self.write(tmp_path, [truth_line(0), second])
+        with pytest.raises(StreamFormatError, match=rf"truth\.jsonl:2: {message}"):
+            load_scenario(prefix)
+
+    def test_false_is_not_frame_zero(self, tmp_path):
+        prefix = self.write(tmp_path, [truth_line(False), truth_line(2)])
+        with pytest.raises(StreamFormatError, match=r"truth\.jsonl:1: frame must be 0"):
+            load_scenario(prefix)
+
+    def test_line_count_must_match_detections(self, tmp_path):
+        lines = [truth_line(0), truth_line(2), truth_line(3)]
+        with pytest.raises(StreamFormatError, match=r"truth\.jsonl:3: detections have only 2"):
+            load_scenario(self.write(tmp_path, lines))
+        with pytest.raises(StreamFormatError, match="truth has 1 frames, detections have 2"):
+            load_scenario(self.write(tmp_path, lines[:1]))
+
+    def test_eval_reports_a_nameless_object_and_exits_1(self, tmp_path, capsys):
+        nameless = truth_line(2, objects=[{"type": "snitch", "pos": [0, 0], "size": [1, 1]}])
+        prefix = self.write(tmp_path, [truth_line(0), nameless])
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [None, None])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        err = capsys.readouterr().err
+        assert "scn.truth.jsonl:2" in err and "Traceback" not in err
 
 
 class TestEngineConfigLoading:
