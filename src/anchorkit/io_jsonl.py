@@ -72,9 +72,9 @@ def _fail(path, line_no: int, message: str) -> StreamFormatError:
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON number of ``kinds``; ``true``/``false`` are not, although
-    ``bool`` is an ``int`` subclass."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """A JSON number of ``kinds``. Exact types: ``true``/``false`` parse as
+    ``bool``, an ``int`` subclass that must not pass."""
+    return type(value) in kinds
 
 
 def _as_vec(value, path, line_no: int, label: str) -> Vec2:
@@ -152,7 +152,7 @@ def read_detection_stream(path) -> list[FrameInput]:
     previous = None
     for line_no, obj in _read_lines(path):
         frame_index = obj.get("frame")
-        if not _is_number(frame_index, int):
+        if not _is_number(frame_index, (int,)):
             raise _fail(path, line_no, "frame must be an integer")
         if previous is not None and frame_index <= previous:
             raise _fail(
@@ -166,7 +166,7 @@ def read_detection_stream(path) -> list[FrameInput]:
         for i, det in enumerate(_objects(obj, "detections", path, line_no)):
             label = f"detections[{i}]"
             pid = det.get("id", i)
-            if not _is_number(pid, int):
+            if not _is_number(pid, (int,)):
                 raise _fail(path, line_no, f"{label}.id must be an integer")
             if pid in seen_ids:
                 raise _fail(path, line_no, f"{label}.id {pid} repeats within the frame")
@@ -243,7 +243,7 @@ def read_world_stream(path) -> list[tuple[int, tuple[AnchorRecord, ...]]]:
     previous = None
     for line_no, obj in _read_lines(path):
         frame_index = obj.get("frame")
-        if not _is_number(frame_index, int):
+        if not _is_number(frame_index, (int,)):
             raise _fail(path, line_no, "frame must be an integer")
         if previous is not None and frame_index <= previous:
             raise _fail(path, line_no, "frame index not strictly increasing")
@@ -293,7 +293,7 @@ def read_predictions(path) -> list[Box | None]:
     out: list[Box | None] = []
     for line_no, obj in _read_lines(path):
         frame_index = obj.get("frame")
-        if not _is_number(frame_index, int) or frame_index != len(out):
+        if not _is_number(frame_index, (int,)) or frame_index != len(out):
             raise _fail(path, line_no, f"frame must be {len(out)}, the line's 0-based position")
         box = obj.get("box")
         if box is None:
@@ -340,7 +340,7 @@ def load_scenario(prefix) -> Scenario:
         if len(labels) == len(inputs):
             raise _fail(truth_path, line_no, f"detections have only {len(inputs)} frames")
         frame_index = inputs[len(labels)].frame_index
-        if not _is_number(obj.get("frame"), int) or obj["frame"] != frame_index:
+        if not _is_number(obj.get("frame"), (int,)) or obj["frame"] != frame_index:
             raise _fail(
                 truth_path, line_no, f"frame must be {frame_index}, as in the detection stream"
             )
