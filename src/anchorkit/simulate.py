@@ -165,13 +165,13 @@ class ScenarioRecord:
         return Scenario(
             inputs=tuple(self.frame_inputs()),
             labels=self.labels,
-            objects=tuple(
-                tuple(
+            objects=tuple([
+                tuple([
                     (o.name, o.object_type, (self.image_position(f, o.name), o.size))
                     for o in self.objects
-                )
+                ])
                 for f in range(self.frames)
-            ),
+            ]),
         )
 
 
