@@ -189,22 +189,17 @@ class TestWorldStreams:
         assert read_world_stream(path) == [(0, ())]
 
 
-    @pytest.mark.parametrize("key", ["id", "type", "conf", "status"])
-    def test_missing_field_names_field_and_line(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("id", None), ("type", None), ("conf", None), ("status", None), ("conf", True)],
+    )
+    def test_missing_or_mistyped_field_names_field_and_line(self, tmp_path, key, value):
         entry = {"id": "cone0", "type": "cone", "pos": [1, 2], "size": [4, 4],
-                 "conf": 0.5, "status": "visible"}
-        del entry[key]
+                 "conf": 0.5, "status": "visible", key: value}
+        entry = {k: v for k, v in entry.items() if v is not None}
         path = tmp_path / "world.jsonl"
         write_lines(path, [{"frame": 0, "anchors": []}, {"frame": 1, "anchors": [entry]}])
         with pytest.raises(StreamFormatError, match=rf"world\.jsonl:2: anchors\[0\]\.{key}"):
-            read_world_stream(path)
-
-    def test_boolean_confidence_rejected(self, tmp_path):
-        entry = {"id": "cone0", "type": "cone", "pos": [1, 2], "size": [4, 4],
-                 "conf": True, "status": "visible"}
-        path = tmp_path / "world.jsonl"
-        write_lines(path, [{"frame": 0, "anchors": [entry]}])
-        with pytest.raises(StreamFormatError, match=r"world\.jsonl:1: anchors\[0\]\.conf"):
             read_world_stream(path)
 
 
