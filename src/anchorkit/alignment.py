@@ -122,9 +122,7 @@ def _canonicalize(pairs: list[tuple[int, int]], values: np.ndarray) -> list[tupl
     return pairs
 
 
-def solve_assignment(
-    values: np.ndarray, dummy_cost: float | None = None
-) -> list[tuple[int, int]]:
+def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one matching of min(rows, cols) pairs.
 
     Rectangular matrices are padded to square with constant-cost dummies
@@ -145,9 +143,7 @@ def solve_assignment(
     if n_rows == n_cols:
         square = values
     else:
-        if dummy_cost is None:
-            dummy_cost = 10.0 * float(values.max()) + 1.0
-        square = np.full((n, n), dummy_cost, dtype=float)
+        square = np.full((n, n), 10.0 * float(values.max()) + 1.0, dtype=float)
         square[:n_rows, :n_cols] = values
 
     rows, cols = linear_sum_assignment(square)
@@ -166,7 +162,7 @@ def align(
     unmatched on both sides.
     """
     cost = build_cost_matrix(percepts, world_model.all_tracks(), config)
-    pairs = solve_assignment(cost.values, dummy_cost=10.0 * config.tau)
+    pairs = solve_assignment(cost.values)
 
     matches = []
     matched_rows: set[int] = set()

@@ -7,11 +7,12 @@ import json
 import sys
 from pathlib import Path
 
-from .core import EngineError
+from .core import ConfigError, EngineError
 from .io_jsonl import (
     CONFIG_ENV_VAR,
     load_engine_config,
     load_scenario,
+    read_config_file,
     read_detection_stream,
     read_predictions,
     write_detection_stream,
@@ -88,14 +89,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         jitter_sigma=args.jitter_sigma,
         flicker_burst_length=args.burst,
     )
-    scenario_json = None
-    if args.scenario_config:
-        scenario_json = json.loads(Path(args.scenario_config).read_text(encoding="utf-8"))
+    scenario_json = read_config_file(args.scenario_config) if args.scenario_config else None
     for i in range(args.count):
         seed = args.seed + i
         if scenario_json is not None:
-            config = scenario_config_from_json(dict(scenario_json, seed=seed) if args.count > 1
-                                               else scenario_json, default_seed=seed)
+            try:
+                config = scenario_config_from_json(
+                    dict(scenario_json, seed=seed) if args.count > 1 else scenario_json,
+                    default_seed=seed,
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{args.scenario_config}: {exc}") from None
         else:
             config = build_template(
                 args.template, seed, frames=args.frames, n_objects=args.objects, noise=noise
@@ -106,7 +110,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_detection_stream(out / f"{stem}.detections.jsonl", scenario.inputs)
         write_truth_stream(out / f"{stem}.truth.jsonl", scenario)
         meta = {
-            "seed": seed,
+            "seed": config.seed,
             "frames": record.frames,
             "template": "file" if scenario_json is not None else args.template,
             "viewport": list(record.viewport),
@@ -115,10 +119,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 for o in record.objects
             ],
             "noise": {
-                "miss_rate": noise.miss_rate,
-                "ghost_rate": noise.ghost_rate,
-                "jitter_sigma": noise.jitter_sigma,
-                "flicker_burst_length": noise.flicker_burst_length,
+                "miss_rate": config.noise.miss_rate,
+                "ghost_rate": config.noise.ghost_rate,
+                "jitter_sigma": config.noise.jitter_sigma,
+                "flicker_burst_length": config.noise.flicker_burst_length,
             },
         }
         (out / f"{stem}.meta.json").write_text(

@@ -16,11 +16,15 @@ World record (query results, one line per frame):
 Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 "size"}], "snitch_label"}; prediction record: {"frame", "box": null |
 {"pos", "size"}}. Every stream is ordered by strictly increasing frame
-index; line k of a truth file carries the frame of line k of its
-detection stream, and a prediction's frame is its 0-based line position.
-JSON ``true``/``false`` are not numbers. Detection types must not start
-with ``cand``: the engine reserves that prefix for the ids of provisional
-tracks.
+index; line k of a truth file carries the frame and camera of line k of
+its detection stream, and a prediction's frame is its 0-based line
+position. JSON ``true``/``false`` are not numbers. Detection types must
+not start with ``cand``: the engine reserves that prefix for the ids of
+provisional tracks.
+
+Config files (engine and scenario) are one JSON object each, read by
+``read_config_file``. Their fields pass the same checks as stream fields,
+and a key outside the known set is an error.
 """
 
 from __future__ import annotations
@@ -67,30 +71,81 @@ class StreamFormatError(EngineError):
     """A stream file failed validation; the message carries path and line."""
 
 
-def _fail(path, line_no: int, message: str) -> StreamFormatError:
-    return StreamFormatError(f"{path}:{line_no}: {message}")
+class FieldError(ConfigError):
+    """A JSON value failed a field check. The message names the field; the
+    file reader that catches it adds the path (and line)."""
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON number of ``kinds``. Exact types: ``true``/``false`` parse as
-    ``bool``, an ``int`` subclass that must not pass."""
-    return type(value) in kinds
+def _finite(value) -> bool:
+    """A JSON number that is a finite float. Exact types: ``true``/``false``
+    parse as ``bool``, an ``int`` subclass that must not pass."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _as_vec(value, path, line_no: int, label: str) -> Vec2:
+def number(value, label: str) -> float:
+    if not _finite(value):
+        raise FieldError(f"{label} must be a finite number")
+    return float(value)
+
+
+def integer(value, label: str) -> int:
+    if type(value) is not int:
+        raise FieldError(f"{label} must be an integer")
+    return value
+
+
+def pair(value, label: str) -> Vec2:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not (_is_number(value[0]) and _is_number(value[1]))
+        or not (_finite(value[0]) and _finite(value[1]))
     ):
-        raise _fail(path, line_no, f"{label} must be a pair of numbers")
-    x, y = float(value[0]), float(value[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise _fail(path, line_no, f"{label} must be finite")
-    return (x, y)
+        raise FieldError(f"{label} must be a pair of finite numbers")
+    return (float(value[0]), float(value[1]))
 
 
-def _read_lines(path):
+def string(value, label: str) -> str:
+    if not isinstance(value, str):
+        raise FieldError(f"{label} must be a string")
+    return value
+
+
+def object_list(value, label: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise FieldError(f"{label} must be a list of objects")
+    return value
+
+
+def check_keys(obj: dict, known: Iterable[str], prefix: str = "") -> None:
+    """Config objects take no key outside ``known``: a misspelt key is an
+    error, not a silent default."""
+    for key in obj:
+        if key not in known:
+            raise FieldError(f"{prefix}{key} is not a known key ({', '.join(known)})")
+
+
+def read_fields(obj: dict, readers: dict, prefix: str = "") -> dict:
+    """Read each key of a config object with its ``reader(value, label)``."""
+    check_keys(obj, readers, prefix)
+    return {key: readers[key](value, prefix + key) for key, value in obj.items()}
+
+
+def list_of(read_entry):
+    """A field reader for a list of objects, each read by ``read_entry(entry, label)``."""
+    def read(value, label: str) -> tuple:
+        items = object_list(value, label)
+        return tuple(read_entry(entry, f"{label}[{i}]") for i, entry in enumerate(items))
+    return read
+
+
+def _parse_lines(path, parse_line) -> list:
+    """``parse_line(obj, done)`` on the object of each non-blank line, where
+    ``done`` holds the results of the lines before it. A malformed line
+    raises ``StreamFormatError`` naming ``path:line``."""
+    done: list = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             raw = raw.strip()
@@ -98,18 +153,25 @@ def _read_lines(path):
                 continue
             try:
                 obj = json.loads(raw)
+                if not isinstance(obj, dict):
+                    raise FieldError("expected a JSON object")
+                done.append(parse_line(obj, done))
             except json.JSONDecodeError as exc:
-                raise _fail(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise _fail(path, line_no, "expected a JSON object")
-            yield line_no, obj
+                raise StreamFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+            except FieldError as exc:
+                raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
+    return done
 
 
-def _objects(obj: dict, key: str, path, line_no: int) -> list[dict]:
-    items = obj.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-        raise _fail(path, line_no, f"{key} must be a list of objects")
-    return items
+def read_config_file(path) -> dict:
+    """The top-level object of a JSON config file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return raw
 
 
 def _dump_line(payload: dict) -> str:
@@ -148,58 +210,50 @@ def write_detection_stream(path, frames: Iterable[FrameInput]) -> None:
 
 
 def read_detection_stream(path) -> list[FrameInput]:
-    frames: list[FrameInput] = []
-    previous = None
-    for line_no, obj in _read_lines(path):
-        frame_index = obj.get("frame")
-        if not _is_number(frame_index, (int,)):
-            raise _fail(path, line_no, "frame must be an integer")
-        if previous is not None and frame_index <= previous:
-            raise _fail(
-                path, line_no,
-                f"frame index not strictly increasing ({frame_index} after {previous})",
+    return _parse_lines(path, _frame_input)
+
+
+def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
+    frame_index = integer(obj.get("frame"), "frame")
+    if frames and frame_index <= frames[-1].frame_index:
+        previous = frames[-1].frame_index
+        raise FieldError(f"frame index not strictly increasing ({frame_index} after {previous})")
+    camera = pair(obj.get("camera", [0.0, 0.0]), "camera")
+    percepts = []
+    seen_ids: set[int] = set()
+    for i, det in enumerate(object_list(obj.get("detections", []), "detections")):
+        label = f"detections[{i}]"
+        pid = integer(det.get("id", i), f"{label}.id")
+        if pid in seen_ids:
+            raise FieldError(f"{label}.id {pid} repeats within the frame")
+        seen_ids.add(pid)
+        kind = det.get("type")
+        if not isinstance(kind, str) or not kind:
+            raise FieldError(f"{label}.type must be a non-empty string")
+        if kind.startswith(CANDIDATE_PREFIX):
+            raise FieldError(
+                f"{label}.type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}"
             )
-        previous = frame_index
-        camera = _as_vec(obj.get("camera", [0.0, 0.0]), path, line_no, "camera")
-        percepts = []
-        seen_ids: set[int] = set()
-        for i, det in enumerate(_objects(obj, "detections", path, line_no)):
-            label = f"detections[{i}]"
-            pid = det.get("id", i)
-            if not _is_number(pid, (int,)):
-                raise _fail(path, line_no, f"{label}.id must be an integer")
-            if pid in seen_ids:
-                raise _fail(path, line_no, f"{label}.id {pid} repeats within the frame")
-            seen_ids.add(pid)
-            kind = det.get("type")
-            if not isinstance(kind, str) or not kind:
-                raise _fail(path, line_no, f"{label}.type must be a non-empty string")
-            if kind.startswith(CANDIDATE_PREFIX):
-                raise _fail(
-                    path, line_no,
-                    f"{label}.type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}",
-                )
-            pos = _as_vec(det.get("pos"), path, line_no, f"{label}.pos")
-            size = _as_vec(det.get("size"), path, line_no, f"{label}.size")
-            if size[0] <= 0 or size[1] <= 0:
-                raise _fail(path, line_no, f"{label}.size components must be > 0")
-            score = det.get("score", 1.0)
-            if not _is_number(score) or not (0.0 <= score <= 1.0):
-                raise _fail(path, line_no, f"{label}.score must lie in [0, 1]")
-            percepts.append(
-                Percept(pid, Attributes(kind, pos, size), float(score))
-            )
-        actions = []
-        for i, act in enumerate(_objects(obj, "actions", path, line_no)):
-            label = f"actions[{i}]"
-            if not isinstance(act.get("name"), str):
-                raise _fail(path, line_no, f"{label} must carry a string 'name'")
-            args = act.get("args", [])
-            if not isinstance(args, list) or not args or not all(isinstance(a, str) for a in args):
-                raise _fail(path, line_no, f"{label}.args must be a non-empty list of strings")
-            actions.append(ActionEvent(act["name"], tuple(args), frame_index))
-        frames.append(FrameInput(frame_index, tuple(percepts), camera, tuple(actions)))
-    return frames
+        pos = pair(det.get("pos"), f"{label}.pos")
+        size = pair(det.get("size"), f"{label}.size")
+        if size[0] <= 0 or size[1] <= 0:
+            raise FieldError(f"{label}.size components must be > 0")
+        score = det.get("score", 1.0)
+        if not _finite(score) or not (0.0 <= score <= 1.0):
+            raise FieldError(f"{label}.score must lie in [0, 1]")
+        percepts.append(
+            Percept(pid, Attributes(kind, pos, size), float(score))
+        )
+    actions = []
+    for i, act in enumerate(object_list(obj.get("actions", []), "actions")):
+        label = f"actions[{i}]"
+        if not isinstance(act.get("name"), str):
+            raise FieldError(f"{label} must carry a string 'name'")
+        args = act.get("args", [])
+        if not isinstance(args, list) or not args or not all(isinstance(a, str) for a in args):
+            raise FieldError(f"{label}.args must be a non-empty list of strings")
+        actions.append(ActionEvent(act["name"], tuple(args), frame_index))
+    return FrameInput(frame_index, tuple(percepts), camera, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +293,29 @@ def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> 
 
 
 def read_world_stream(path) -> list[tuple[int, tuple[AnchorRecord, ...]]]:
-    frames: list[tuple[int, tuple[AnchorRecord, ...]]] = []
-    previous = None
-    for line_no, obj in _read_lines(path):
-        frame_index = obj.get("frame")
-        if not _is_number(frame_index, (int,)):
-            raise _fail(path, line_no, "frame must be an integer")
-        if previous is not None and frame_index <= previous:
-            raise _fail(path, line_no, "frame index not strictly increasing")
-        previous = frame_index
-        records = []
-        for i, entry in enumerate(_objects(obj, "anchors", path, line_no)):
-            label = f"anchors[{i}]"
-            pos = _as_vec(entry.get("pos"), path, line_no, f"{label}.pos")
-            size = _as_vec(entry.get("size"), path, line_no, f"{label}.size")
-            for key in ("id", "type", "status"):
-                if not isinstance(entry.get(key), str):
-                    raise _fail(path, line_no, f"{label}.{key} must be a string")
-            if not _is_number(entry.get("conf")):
-                raise _fail(path, line_no, f"{label}.conf must be a number")
-            parent = entry.get("parent")
-            if parent is not None and not isinstance(parent, str):
-                raise _fail(path, line_no, f"{label}.parent must be a string")
-            records.append(
-                AnchorRecord(
-                    anchor_id=entry["id"],
-                    object_type=entry["type"],
-                    position=pos,
-                    size=size,
-                    confidence=float(entry["conf"]),
-                    status=entry["status"],
-                    parent=parent,
-                )
+    return _parse_lines(path, _world_line)
+
+
+def _world_line(obj: dict, frames: list) -> tuple[int, tuple[AnchorRecord, ...]]:
+    frame_index = integer(obj.get("frame"), "frame")
+    if frames and frame_index <= frames[-1][0]:
+        raise FieldError("frame index not strictly increasing")
+    records = []
+    for i, entry in enumerate(object_list(obj.get("anchors", []), "anchors")):
+        label = f"anchors[{i}]"
+        parent = entry.get("parent")
+        records.append(
+            AnchorRecord(
+                anchor_id=string(entry.get("id"), f"{label}.id"),
+                object_type=string(entry.get("type"), f"{label}.type"),
+                position=pair(entry.get("pos"), f"{label}.pos"),
+                size=pair(entry.get("size"), f"{label}.size"),
+                confidence=number(entry.get("conf"), f"{label}.conf"),
+                status=string(entry.get("status"), f"{label}.status"),
+                parent=None if parent is None else string(parent, f"{label}.parent"),
             )
-        frames.append((frame_index, tuple(records)))
-    return frames
+        )
+    return frame_index, tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +332,19 @@ def write_predictions(path, predictions: Sequence[Box | None]) -> None:
 
 
 def read_predictions(path) -> list[Box | None]:
-    out: list[Box | None] = []
-    for line_no, obj in _read_lines(path):
-        frame_index = obj.get("frame")
-        if not _is_number(frame_index, (int,)) or frame_index != len(out):
-            raise _fail(path, line_no, f"frame must be {len(out)}, the line's 0-based position")
-        box = obj.get("box")
-        if box is None:
-            out.append(None)
-            continue
-        if not isinstance(box, dict):
-            raise _fail(path, line_no, "box must be null or an object")
-        pos = _as_vec(box.get("pos"), path, line_no, "box.pos")
-        size = _as_vec(box.get("size"), path, line_no, "box.size")
-        out.append((pos, size))
-    return out
+    return _parse_lines(path, _prediction)
+
+
+def _prediction(obj: dict, done: list) -> Box | None:
+    frame_index = obj.get("frame")
+    if type(frame_index) is not int or frame_index != len(done):
+        raise FieldError(f"frame must be {len(done)}, the line's 0-based position")
+    box = obj.get("box")
+    if box is None:
+        return None
+    if not isinstance(box, dict):
+        raise FieldError("box must be null or an object")
+    return (pair(box.get("pos"), "box.pos"), pair(box.get("size"), "box.size"))
 
 
 # ---------------------------------------------------------------------------
@@ -333,77 +373,62 @@ def load_scenario(prefix) -> Scenario:
     """Load ``<prefix>.detections.jsonl`` + ``<prefix>.truth.jsonl``."""
     prefix = str(prefix)
     inputs = read_detection_stream(prefix + ".detections.jsonl")
-    labels: list[str] = []
-    objects: list[tuple[tuple[str, str, Box], ...]] = []
-    truth_path = prefix + ".truth.jsonl"
-    for line_no, obj in _read_lines(truth_path):
-        if len(labels) == len(inputs):
-            raise _fail(truth_path, line_no, f"detections have only {len(inputs)} frames")
-        frame_index = inputs[len(labels)].frame_index
-        if not _is_number(obj.get("frame"), (int,)) or obj["frame"] != frame_index:
-            raise _fail(
-                truth_path, line_no, f"frame must be {frame_index}, as in the detection stream"
+
+    def truth_line(obj: dict, done: list) -> tuple[str, tuple[tuple[str, str, Box], ...]]:
+        if len(done) == len(inputs):
+            raise FieldError(f"detections have only {len(inputs)} frames")
+        frame = inputs[len(done)]
+        if type(obj.get("frame")) is not int or obj["frame"] != frame.frame_index:
+            raise FieldError(f"frame must be {frame.frame_index}, as in the detection stream")
+        if pair(obj.get("camera", [0.0, 0.0]), "camera") != frame.camera_pose:
+            raise FieldError(
+                f"camera must be {list(frame.camera_pose)}, as in the detection stream"
             )
-        label = obj.get("snitch_label")
-        if not isinstance(label, str):
-            raise _fail(truth_path, line_no, "snitch_label must be a string")
-        labels.append(label)
+        label = string(obj.get("snitch_label"), "snitch_label")
         entries = []
-        for i, entry in enumerate(_objects(obj, "objects", truth_path, line_no)):
+        for i, entry in enumerate(object_list(obj.get("objects", []), "objects")):
             name, kind = entry.get("name"), entry.get("type")
             if not (isinstance(name, str) and isinstance(kind, str)):
-                raise _fail(truth_path, line_no, f"objects[{i}] needs a string name and type")
-            pos = _as_vec(entry.get("pos"), truth_path, line_no, f"objects[{i}].pos")
-            size = _as_vec(entry.get("size"), truth_path, line_no, f"objects[{i}].size")
+                raise FieldError(f"objects[{i}] needs a string name and type")
+            pos = pair(entry.get("pos"), f"objects[{i}].pos")
+            size = pair(entry.get("size"), f"objects[{i}].size")
             entries.append((name, kind, (pos, size)))
-        objects.append(tuple(entries))
-    if len(labels) != len(inputs):
+        return label, tuple(entries)
+
+    truth = _parse_lines(prefix + ".truth.jsonl", truth_line)
+    if len(truth) != len(inputs):
         raise StreamFormatError(
-            f"{prefix}: truth has {len(labels)} frames, detections have {len(inputs)}"
+            f"{prefix}: truth has {len(truth)} frames, detections have {len(inputs)}"
         )
-    return Scenario(tuple(inputs), tuple(labels), tuple(objects))
+    return Scenario(
+        tuple(inputs),
+        tuple(label for label, _ in truth),
+        tuple(objects for _, objects in truth),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Engine configuration
 
 
-def _rules_from_json(raw) -> tuple[ActionRule, ...]:
-    rules = []
-    for i, entry in enumerate(raw):
-        try:
-            rules.append(
-                ActionRule(
-                    action_name=entry["action"],
-                    effect=entry["effect"],
-                    child_arg=entry["child_arg"],
-                    parent_arg=entry.get("parent_arg"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"action_rules[{i}] is malformed: {exc}") from exc
-    return tuple(rules)
+def _action_rule(entry: dict, label: str) -> ActionRule:
+    check_keys(entry, ("action", "effect", "child_arg", "parent_arg"), f"{label}.")
+    parent_arg = entry.get("parent_arg")
+    return ActionRule(
+        action_name=string(entry.get("action"), f"{label}.action"),
+        effect=string(entry.get("effect"), f"{label}.effect"),
+        child_arg=integer(entry.get("child_arg"), f"{label}.child_arg"),
+        parent_arg=None if parent_arg is None else integer(parent_arg, f"{label}.parent_arg"),
+    )
 
 
-def engine_config_to_json(config: EngineConfig) -> dict:
-    return {
-        "tau": config.tau,
-        "psi_mismatch": config.psi_mismatch,
-        "conf_inc": config.conf_inc,
-        "conf_dec": config.conf_dec,
-        "kappa_anch": config.kappa_anch,
-        "kappa_inf": config.kappa_inf,
-        "field_of_view": list(config.field_of_view),
-        "action_rules": [
-            {
-                "action": r.action_name,
-                "effect": r.effect,
-                "child_arg": r.child_arg,
-                **({"parent_arg": r.parent_arg} if r.parent_arg is not None else {}),
-            }
-            for r in config.action_rules
-        ],
-    }
+_ENGINE_FIELDS = {
+    **dict.fromkeys(
+        ("tau", "psi_mismatch", "conf_inc", "conf_dec", "kappa_anch", "kappa_inf"), number
+    ),
+    "field_of_view": pair,
+    "action_rules": list_of(_action_rule),
+}
 
 
 def load_engine_config(spec: str | None = None) -> EngineConfig:
@@ -416,26 +441,12 @@ def load_engine_config(spec: str | None = None) -> EngineConfig:
         spec = os.environ.get(CONFIG_ENV_VAR) or "benchmark"
     if spec in PRESETS:
         return EngineConfig(**PRESETS[spec])
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise ConfigError(
             f"config {spec!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file"
         )
+    raw = read_config_file(spec)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    kwargs = {}
-    for key in ("tau", "psi_mismatch", "conf_inc", "conf_dec", "kappa_anch", "kappa_inf"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    if "field_of_view" in raw:
-        fov = raw["field_of_view"]
-        if not isinstance(fov, (list, tuple)) or len(fov) != 2:
-            raise ConfigError(f"{path}: field_of_view must be a pair")
-        kwargs["field_of_view"] = (float(fov[0]), float(fov[1]))
-    if "action_rules" in raw:
-        kwargs["action_rules"] = _rules_from_json(raw["action_rules"])
-    return EngineConfig(**kwargs)
+        return EngineConfig(**read_fields(raw, _ENGINE_FIELDS))
+    except ConfigError as exc:
+        raise ConfigError(f"{spec}: {exc}") from None

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, box_intersection
+from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import Scenario
 from .tracker import FrameInput
 
@@ -40,6 +41,15 @@ DEFAULT_SIZES = {
     "cylinder": 26.0,
     "snitch": 18.0,
 }
+
+# An object more than this share covered by objects above it is not detected.
+COVER_DROP_FRACTION = 0.5
+# Object counts of the random layout, in placement order: the order feeds
+# the RNG, so changing it changes every random scenario.
+RANDOM_LAYOUT = (("cone", 2), ("cube", 1), ("cylinder", 1), ("snitch", 1), ("sphere", 1))
+# Event kinds of the random script with their relative weights, in the order
+# the RNG draws from (same caveat).
+RANDOM_EVENT_MIX = {"contain": 0.3, "pick_place": 0.15, "rotate": 0.1, "slide": 0.45}
 
 
 class SimulationError(EngineError):
@@ -93,12 +103,9 @@ class ScenarioConfig:
     frames: int = 300
     viewport: Vec2 = (360.0, 240.0)
     objects: tuple[ObjectSpec, ...] | None = None
-    counts: Mapping[str, int] | None = None
     script: tuple[EventSpec, ...] | None = None
-    event_mix: Mapping[str, float] | None = None
     camera: tuple[tuple[int, Vec2], ...] = ((0, (0.0, 0.0)),)
     noise: NoiseConfig = NoiseConfig()
-    cover_drop_fraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -358,8 +365,6 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     """Build a complete scenario: deterministic in the seed, detections equal
     to ground truth when no noise is configured."""
     _validate_noise(config.noise)
-    if not (0.0 < config.cover_drop_fraction < 1.0):
-        raise SimulationError("cover_drop_fraction must lie in (0, 1)")
     if config.frames < 2:
         raise SimulationError("need at least two frames")
 
@@ -413,7 +418,7 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
                 )
                 if ox > 0.0 and oy > 0.0:
                     cover = max(cover, ox * oy / own_area)
-            covered[name] = cover > config.cover_drop_fraction
+            covered[name] = cover > COVER_DROP_FRACTION
             ix = frame_positions[name][0] - cam[0]
             iy = frame_positions[name][1] - cam[1]
             in_view = 0.0 <= ix < width and 0.0 <= iy < height
@@ -637,16 +642,12 @@ def _pick_dest(
 
 
 def _random_layout(rng: np.random.Generator, config: ScenarioConfig) -> tuple[ObjectSpec, ...]:
-    counts = dict(config.counts or {"cone": 2, "cube": 1, "sphere": 1, "cylinder": 1})
-    counts.setdefault("snitch", 1)
-    if counts["snitch"] != 1:
-        raise SimulationError("exactly one snitch required")
     width, height = config.viewport
     margin = 35.0
     specs: list[ObjectSpec] = []
     placed: list[tuple[Vec2, float]] = []
-    for object_type in sorted(counts):
-        for n in range(counts[object_type]):
+    for object_type, count in RANDOM_LAYOUT:
+        for n in range(count):
             base = DEFAULT_SIZES.get(object_type, 28.0)
             if object_type == "cone":
                 side = float(rng.uniform(36.0, 56.0))
@@ -671,11 +672,8 @@ def _random_layout(rng: np.random.Generator, config: ScenarioConfig) -> tuple[Ob
 def _random_script(
     rng: np.random.Generator, objects: Sequence[ObjectSpec], config: ScenarioConfig
 ) -> tuple[EventSpec, ...]:
-    mix = dict(config.event_mix or {"slide": 0.45, "pick_place": 0.15, "rotate": 0.1, "contain": 0.3})
-    kinds = sorted(mix)
-    weights = np.array([mix[k] for k in kinds], dtype=float)
-    if weights.sum() <= 0:
-        return ()
+    kinds = list(RANDOM_EVENT_MIX)
+    weights = np.array(list(RANDOM_EVENT_MIX.values()), dtype=float)
     weights = weights / weights.sum()
 
     position = {o.name: o.start for o in objects}
@@ -892,64 +890,86 @@ def _carried_config(seed: int, frames: int, noise: NoiseConfig) -> ScenarioConfi
     return ScenarioConfig(seed=seed, frames=frames, objects=objects, script=script, noise=noise)
 
 
+def _seed(value, label: str) -> int:
+    if integer(value, label) < 0:  # numpy seeds only from non-negative integers
+        raise FieldError(f"{label} must be >= 0")
+    return value
+
+
+def _object_spec(entry: dict, label: str) -> ObjectSpec:
+    check_keys(entry, ("name", "type", "size", "start"), f"{label}.")
+    return ObjectSpec(
+        name=string(entry.get("name"), f"{label}.name"),
+        object_type=string(entry.get("type"), f"{label}.type"),
+        size=pair(entry.get("size"), f"{label}.size"),
+        start=pair(entry.get("start"), f"{label}.start"),
+    )
+
+
+def _event_spec(entry: dict, label: str) -> EventSpec:
+    check_keys(entry, ("kind", "subject", "start", "end", "dest", "target", "offset"), f"{label}.")
+    dest, target = entry.get("dest"), entry.get("target")
+    return EventSpec(
+        kind=string(entry.get("kind"), f"{label}.kind"),
+        subject=string(entry.get("subject"), f"{label}.subject"),
+        start=integer(entry.get("start"), f"{label}.start"),
+        end=integer(entry.get("end"), f"{label}.end"),
+        dest=None if dest is None else pair(dest, f"{label}.dest"),
+        target=None if target is None else string(target, f"{label}.target"),
+        offset=pair(entry.get("offset", (0.0, 0.0)), f"{label}.offset"),
+    )
+
+
+def _camera_waypoints(value, label: str) -> tuple[tuple[int, Vec2], ...]:
+    shaped = isinstance(value, list) and all(isinstance(e, list) and len(e) == 2 for e in value)
+    if not (shaped and value):
+        raise FieldError(f"{label} must be a non-empty list of [frame, [x, y]]")
+    return tuple(
+        (integer(frame, f"{label}[{i}][0]"), pair(pose, f"{label}[{i}][1]"))
+        for i, (frame, pose) in enumerate(value)
+    )
+
+
+_NOISE_FIELDS = {
+    "miss_rate": number,
+    "ghost_rate": number,
+    "jitter_sigma": number,
+    "flicker_burst_length": integer,
+    "ghost_clearance": number,
+}
+
+
+def _noise_config(value, label: str) -> NoiseConfig:
+    if not isinstance(value, dict):
+        raise FieldError(f"{label} must be an object")
+    return NoiseConfig(**read_fields(value, _NOISE_FIELDS, f"{label}."))
+
+
+_SCENARIO_FIELDS = {
+    "seed": _seed,
+    "frames": integer,
+    "viewport": pair,
+    "objects": list_of(_object_spec),
+    "script": list_of(_event_spec),
+    "camera": _camera_waypoints,
+    "noise": _noise_config,
+}
+
+
 def scenario_config_from_json(raw: dict, default_seed: int = 0) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object.
 
-    Recognized keys mirror the dataclass fields; ``objects`` entries are
-    ``{"name", "type", "size": [w, h], "start": [x, y]}`` and ``script``
+    Recognized keys are the dataclass fields; ``objects`` entries are
+    ``{"name", "type", "size": [w, h], "start": [x, y]}``, ``script``
     entries are ``{"kind", "subject", "start", "end", "dest"?, "target"?,
-    "offset"?}``. Omitted sections fall back to random generation.
+    "offset"?}``, ``camera`` is a list of ``[frame, [x, y]]`` waypoints and
+    ``noise`` takes the ``NoiseConfig`` fields. Omitted sections fall back to
+    random generation. A malformed field or an unknown key raises a
+    ``ConfigError`` naming the field.
     """
     if not isinstance(raw, dict):
-        raise SimulationError("scenario config must be a JSON object")
-    kwargs: dict = {"seed": int(raw.get("seed", default_seed))}
-    if "frames" in raw:
-        kwargs["frames"] = int(raw["frames"])
-    if "viewport" in raw:
-        vx, vy = raw["viewport"]
-        kwargs["viewport"] = (float(vx), float(vy))
-    if "objects" in raw:
-        kwargs["objects"] = tuple(
-            ObjectSpec(
-                name=entry["name"],
-                object_type=entry["type"],
-                size=(float(entry["size"][0]), float(entry["size"][1])),
-                start=(float(entry["start"][0]), float(entry["start"][1])),
-            )
-            for entry in raw["objects"]
-        )
-    if "counts" in raw:
-        kwargs["counts"] = {str(k): int(v) for k, v in raw["counts"].items()}
-    if "script" in raw:
-        events = []
-        for entry in raw["script"]:
-            events.append(
-                EventSpec(
-                    kind=entry["kind"],
-                    subject=entry["subject"],
-                    start=int(entry["start"]),
-                    end=int(entry["end"]),
-                    dest=tuple(map(float, entry["dest"])) if entry.get("dest") else None,
-                    target=entry.get("target"),
-                    offset=tuple(map(float, entry.get("offset", (0.0, 0.0)))),
-                )
-            )
-        kwargs["script"] = tuple(events)
-    if "event_mix" in raw:
-        kwargs["event_mix"] = {str(k): float(v) for k, v in raw["event_mix"].items()}
-    if "camera" in raw:
-        kwargs["camera"] = tuple(
-            (int(frame), (float(pose[0]), float(pose[1]))) for frame, pose in raw["camera"]
-        )
-    if "noise" in raw:
-        noise_kwargs = dict(raw["noise"])
-        kwargs["noise"] = NoiseConfig(**noise_kwargs)
-    if "cover_drop_fraction" in raw:
-        kwargs["cover_drop_fraction"] = float(raw["cover_drop_fraction"])
-    try:
-        return ScenarioConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"malformed scenario config: {exc}") from exc
+        raise FieldError("scenario config must be a JSON object")
+    return ScenarioConfig(**{"seed": default_seed, **read_fields(raw, _SCENARIO_FIELDS)})
 
 
 def build_template(

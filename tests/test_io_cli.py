@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from anchorkit.cli import main
-from anchorkit.core import ATTACHED, Anchor, Attributes, ConfigError, EngineConfig
+from anchorkit.core import ATTACHED, ActionRule, Anchor, Attributes, ConfigError, EngineConfig
 from anchorkit.io_jsonl import (
     CONFIG_ENV_VAR,
     StreamFormatError,
@@ -45,6 +46,20 @@ def sample_frames():
 
 def write_lines(path, lines) -> None:
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+def write_config(path, config) -> str:
+    """``config`` as JSON, or a string written as it is."""
+    text = config if isinstance(config, str) else json.dumps(config)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def assert_cli_error(capsys, path, field) -> None:
+    """The command printed one ``error: <path>: <field> ...`` line and no traceback."""
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(str(path))}: {field}", err), err
+    assert "Traceback" not in err
 
 
 class TestDetectionStreams:
@@ -229,7 +244,9 @@ class TestPredictions:
 
 
 def truth_line(frame, **changes):
-    line = {"frame": frame, "camera": [0, 0], "snitch_label": "visible",
+    # The camera of ``sample_frames()`` at that frame.
+    camera = [1, -2] if frame == 2 else [0, 0]
+    line = {"frame": frame, "camera": camera, "snitch_label": "visible",
             "objects": [{"name": "snitch0", "type": "snitch", "pos": [50.5, 60.25],
                          "size": [18, 18]}]}
     return dict(line, **changes)
@@ -263,6 +280,9 @@ class TestTruthFiles:
             (truth_line(True), "frame must be 2"),
             (truth_line(2, objects=[{"name": "s", "type": "snitch", "pos": [False, 0],
                                      "size": [1, 1]}]), r"objects\[0\]\.pos"),
+            (truth_line(2, camera=[0, 0]),
+             r"camera must be \[1\.0, -2\.0\], as in the detection stream"),
+            (truth_line(2, camera=[1, True]), "camera must be a pair"),
         ],
     )
     def test_malformed_second_line_names_path_and_line(self, tmp_path, second, message):
@@ -291,6 +311,13 @@ class TestTruthFiles:
         err = capsys.readouterr().err
         assert "scn.truth.jsonl:2" in err and "Traceback" not in err
 
+    def test_eval_reports_a_camera_mismatch_and_exits_1(self, tmp_path, capsys):
+        prefix = self.write(tmp_path, [truth_line(0), truth_line(2, camera=[1, 2])])
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [None, None])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "camera must be")
+
 
 class TestEngineConfigLoading:
     def test_presets(self):
@@ -301,12 +328,26 @@ class TestEngineConfigLoading:
         assert assembly.conf_inc == 0.05 and assembly.conf_dec == 0.1
 
     def test_file_round_trip(self, tmp_path):
-        from anchorkit.io_jsonl import engine_config_to_json
-
-        config = EngineConfig(tau=900.0, psi_mismatch=2.0, kappa_anch=0.2, kappa_inf=0.4)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(engine_config_to_json(config)), encoding="utf-8")
-        assert load_engine_config(str(path)) == config
+        path = write_config(tmp_path / "config.json", {
+            "tau": 900, "psi_mismatch": 2.0, "conf_inc": 0.2, "conf_dec": 0.3,
+            "kappa_anch": 0.2, "kappa_inf": 0.4, "field_of_view": [640, 480.5],
+            "action_rules": [
+                {"action": "contain", "effect": "attach", "child_arg": 1, "parent_arg": 0},
+                {"action": "uncontain", "effect": "detach", "child_arg": 1},
+                {"action": "insert", "effect": "attach", "child_arg": 0, "parent_arg": 1},
+                {"action": "release", "effect": "detach", "child_arg": 0, "parent_arg": None},
+            ],
+        })
+        assert load_engine_config(path) == EngineConfig(
+            tau=900.0, psi_mismatch=2.0, conf_inc=0.2, conf_dec=0.3,
+            kappa_anch=0.2, kappa_inf=0.4, field_of_view=(640.0, 480.5),
+            action_rules=(
+                ActionRule("contain", "attach", child_arg=1, parent_arg=0),
+                ActionRule("uncontain", "detach", child_arg=1),
+                ActionRule("insert", "attach", child_arg=0, parent_arg=1),
+                ActionRule("release", "detach", child_arg=0),
+            ),
+        )
 
     def test_unknown_spec_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="neither a preset"):
@@ -317,6 +358,44 @@ class TestEngineConfigLoading:
         path.write_text('{"tau": -3}', encoding="utf-8")
         with pytest.raises(ConfigError):
             load_engine_config(str(path))
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ("{", r"invalid JSON"),
+            ("[]", "expected a JSON object"),
+            ({"tau": "abc"}, "tau must be a finite number"),
+            ({"tau": True}, "tau must be a finite number"),
+            ('{"tau": 1' + "0" * 400 + "}", "tau must be a finite number"),
+            ({"tau": -3}, "tau must be > 0"),
+            ({"field_of_view": [1, "x"]}, "field_of_view must be a pair"),
+            ({"action_rules": 5}, "action_rules must be a list of objects"),
+            ({"action_rules": [{"action": "drop", "effect": "detach", "child_arg": True}]},
+             r"action_rules\[0\]\.child_arg must be an integer"),
+            ({"action_rules": [{"action": "drop", "effect": "detach", "child_arg": 0,
+                                "parent": 1}]},
+             r"action_rules\[0\]\.parent is not a known key"),
+            ({"kapa_anch": 0.2}, "kapa_anch is not a known key"),
+        ],
+    )
+    def test_track_rejects_a_malformed_config_file(self, tmp_path, capsys, config, field):
+        detections = tmp_path / "d.jsonl"
+        write_detection_stream(detections, sample_frames())
+        path = write_config(tmp_path / "engine.json", config)
+        assert main(["track", "--detections", str(detections), "--config", path,
+                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        assert_cli_error(capsys, path, field)
+
+    def test_track_runs_with_a_huge_tau(self, tmp_path, capsys):
+        # Two tracks and one percept on the second frame: the assignment pads
+        # the cost matrix, which must not scale with tau.
+        detections = tmp_path / "d.jsonl"
+        write_detection_stream(detections, sample_frames())
+        path = write_config(tmp_path / "engine.json", {"tau": 1e308})
+        preds = tmp_path / "p.jsonl"
+        assert main(["track", "--detections", str(detections), "--config", path,
+                     "--predictions-out", str(preds)]) == 0
+        assert len(read_predictions(preds)) == 2
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         path = tmp_path / "env.json"
@@ -460,3 +539,70 @@ class TestCli:
                                  "--out", str(out), *flags]) == 0
                     record = generate(build_template(template, seed, noise=noise))
                     assert load_scenario(out / "scenario") == record.scenario()
+
+
+CONE = {"name": "cone0", "type": "cone", "size": [40, 40], "start": [60, 120]}
+SNITCH = {"name": "snitch0", "type": "snitch", "size": [18, 18], "start": [180, 120]}
+SLIDE = {"kind": "slide", "subject": "cone0", "start": 10, "end": 20, "dest": [100, 120]}
+
+
+def scenario_json(**changes) -> dict:
+    return dict({"seed": 1, "frames": 40, "objects": [CONE, SNITCH], "script": [SLIDE]},
+                **changes)
+
+
+class TestScenarioConfigFiles:
+    def simulate(self, tmp_path, config) -> tuple[int, str]:
+        path = write_config(tmp_path / "scenario.json", config)
+        return main(["simulate", "--scenario-config", path, "--out", str(tmp_path / "out")]), path
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ("{", "invalid JSON"),
+            ("[1, 2]", "expected a JSON object"),
+            (scenario_json(objects=[CONE, {k: SNITCH[k] for k in ("name", "size", "start")}]),
+             r"objects\[1\]\.type must be a string"),
+            (scenario_json(objects=[dict(CONE, cell=[0, 0]), SNITCH]),
+             r"objects\[0\]\.cell is not a known key"),
+            (scenario_json(objects=5), "objects must be a list of objects"),
+            (scenario_json(noise={"bogus": 1}), r"noise\.bogus is not a known key"),
+            (scenario_json(noise={"miss_rate": "0.1"}), r"noise\.miss_rate must be a finite"),
+            (scenario_json(noise={"flicker_burst_length": 2.0}),
+             r"noise\.flicker_burst_length must be an integer"),
+            (scenario_json(noise=[0.1]), "noise must be an object"),
+            (scenario_json(seed=True), "seed must be an integer"),
+            (scenario_json(seed=-1), "seed must be >= 0"),
+            (scenario_json(frames="12"), "frames must be an integer"),
+            (scenario_json(viewport=[360]), "viewport must be a pair"),
+            (scenario_json(camera=[[0, [0, 0]], [10, "x"]]), r"camera\[1\]\[1\] must be a pair"),
+            (scenario_json(camera=[[0, 0, 0]]), r"camera must be a non-empty list of \[frame"),
+            (scenario_json(camera=[]), "camera must be a non-empty list"),
+            (scenario_json(camera=5), "camera must be a non-empty list"),
+            (scenario_json(script=[dict(SLIDE, dest=[1, 2, 3])]), r"script\[0\]\.dest must be a pair"),
+            (scenario_json(script=[dict(SLIDE, end=20.0)]), r"script\[0\]\.end must be an integer"),
+            (scenario_json(script=[dict(SLIDE, speed=2)]), r"script\[0\]\.speed is not a known key"),
+            (scenario_json(counts={"cone": 3}), "counts is not a known key"),
+            (scenario_json(event_mix={"slide": 1.0}), "event_mix is not a known key"),
+            (scenario_json(cover_drop_fraction=0.8), "cover_drop_fraction is not a known key"),
+        ],
+    )
+    def test_malformed_file_names_path_and_field(self, tmp_path, capsys, config, field):
+        code, path = self.simulate(tmp_path, config)
+        assert code == 1
+        assert_cli_error(capsys, path, field)
+
+    def test_meta_records_the_generated_seed_and_noise(self, tmp_path, capsys):
+        noise = {"miss_rate": 0.1, "ghost_rate": 0.05, "jitter_sigma": 0.5,
+                 "flicker_burst_length": 2}
+        assert self.simulate(tmp_path, scenario_json(seed=1234, noise=noise))[0] == 0
+        meta = json.loads((tmp_path / "out" / "scenario.meta.json").read_text(encoding="utf-8"))
+        assert (meta["seed"], meta["noise"], meta["template"]) == (1234, noise, "file")
+        # A template run records its flags, as before.
+        out = tmp_path / "template"
+        assert main(["simulate", "--template", "static", "--seed", "5", "--frames", "20",
+                     "--miss-rate", "0.2", "--out", str(out)]) == 0
+        meta = json.loads((out / "scenario.meta.json").read_text(encoding="utf-8"))
+        assert meta["seed"] == 5
+        assert meta["noise"] == {"miss_rate": 0.2, "ghost_rate": 0.0, "jitter_sigma": 0.0,
+                                 "flicker_burst_length": 1}
