@@ -28,15 +28,14 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Accepted matches plus the leftovers on both sides.
+    """Accepted matches plus the percepts left over.
 
-    Every matched cost is strictly below the threshold; each percept and each
-    anchor appears at most once across the three fields.
+    Every matched cost is strictly below the threshold; each percept appears
+    at most once across the two fields.
     """
 
     matches: tuple[tuple[int, str, float], ...]  # (percept_id, anchor_id, cost)
     unmatched_percepts: tuple[int, ...]
-    unmatched_anchors: tuple[str, ...]
 
 
 def compensate_camera_motion(
@@ -158,26 +157,19 @@ def align(
 
     All tracked entities (named anchors and provisional candidates) take part,
     at the positions they have in the model: its camera pose must already be
-    the percepts' frame. Assigned pairs with cost >= tau are demoted to
-    unmatched on both sides.
+    the percepts' frame. Assigned pairs with cost >= tau are dropped, which
+    leaves their percepts unmatched.
     """
     cost = build_cost_matrix(percepts, world_model.all_tracks(), config)
     pairs = solve_assignment(cost.values)
 
     matches = []
     matched_rows: set[int] = set()
-    matched_cols: set[int] = set()
     for r, c in pairs:
         value = float(cost.values[r, c])
         if value < config.tau:
             matches.append((cost.percept_ids[r], cost.anchor_ids[c], value))
             matched_rows.add(r)
-            matched_cols.add(c)
 
-    unmatched_p = tuple(
-        pid for i, pid in enumerate(cost.percept_ids) if i not in matched_rows
-    )
-    unmatched_a = tuple(
-        aid for j, aid in enumerate(cost.anchor_ids) if j not in matched_cols
-    )
-    return AlignmentResult(tuple(matches), unmatched_p, unmatched_a)
+    unmatched = tuple(pid for i, pid in enumerate(cost.percept_ids) if i not in matched_rows)
+    return AlignmentResult(tuple(matches), unmatched)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .core import ConfigError, EngineError
 from .io_jsonl import (
-    CONFIG_ENV_VAR,
     load_engine_config,
     load_scenario,
     read_config_file,
@@ -22,14 +21,7 @@ from .io_jsonl import (
 )
 from .metrics import aggregate, render_table, results_csv, results_json_payload, score_stream
 from .pipeline import TRACKERS, run_tracker, score_scenarios
-from .simulate import (
-    TEMPLATES,
-    NoiseConfig,
-    SimulationError,
-    build_template,
-    generate,
-    scenario_config_from_json,
-)
+from .simulate import TEMPLATES, NoiseConfig, build_template, generate, scenario_config_from_json
 
 
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
@@ -42,7 +34,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--scenario-config", default=None,
                    help="JSON scenario description; overrides template and noise flags")
     p.add_argument("--count", type=int, default=1, help="number of scenarios (seed, seed+1, ...)")
-    p.add_argument("--objects", type=int, default=8, help="object count for static/camera templates")
+    p.add_argument("--objects", type=int, default=8,
+                   help="object count (2..8) for static/camera templates")
     p.add_argument("--miss-rate", type=float, default=0.0)
     p.add_argument("--ghost-rate", type=float, default=0.0)
     p.add_argument("--jitter-sigma", type=float, default=0.0)
@@ -53,8 +46,7 @@ def _add_track(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("track", help="run a tracker over a detection stream")
     p.add_argument("--detections", required=True)
     p.add_argument("--tracker", choices=TRACKERS, default="aapa")
-    p.add_argument("--config", default=None,
-                   help=f"preset name or JSON path (default: ${CONFIG_ENV_VAR} or 'benchmark')")
+    p.add_argument("--config", default="benchmark", help="preset name or JSON path")
     p.add_argument("--target", default="snitch")
     p.add_argument("--world-out", default=None, help="world stream output (aapa only)")
     p.add_argument("--predictions-out", default=None, help="target prediction stream output")
@@ -74,7 +66,7 @@ def _add_eval(sub: argparse._SubParsersAction) -> None:
 def _add_compare(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("compare", help="run both trackers over a scenario directory")
     p.add_argument("--scenarios", required=True, help="directory of scenario file pairs")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default="benchmark", help="preset name or JSON path")
     p.add_argument("--target", default="snitch")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
@@ -211,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EngineError, SimulationError, OSError) as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

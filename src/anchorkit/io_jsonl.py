@@ -7,7 +7,8 @@ Frame record (detection streams, one line per frame):
                      "pos": [x, y], "size": [w, h]}, ...],
      "actions": [{"name": "contain", "args": ["cone0", "snitch0"]}, ...]}
 
-World record (query results, one line per frame):
+World record (query results, one line per frame; written by ``track``,
+read by no command, so world streams are write-only):
 
     {"frame": 0, "anchors": [{"id": "cone0", "type": "cone", "pos": [x, y],
                               "size": [w, h], "conf": 0.3,
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,8 +50,6 @@ from .core import (
 )
 from .metrics import Scenario
 from .tracker import FrameInput
-
-CONFIG_ENV_VAR = "ANCHORKIT_CONFIG"
 
 # Default thresholds suit clean synthetic detections; the assembly preset
 # carries the high-noise settings (slower anchoring, stricter inference gate).
@@ -144,20 +141,24 @@ def list_of(read_entry):
 def _parse_lines(path, parse_line) -> list:
     """``parse_line(obj, done)`` on the object of each non-blank line, where
     ``done`` holds the results of the lines before it. A malformed line
-    raises ``StreamFormatError`` naming ``path:line``."""
+    raises ``StreamFormatError`` naming ``path:line``. Each line is decoded
+    on its own, so bad UTF-8 is reported by line too."""
     done: list = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                obj = json.loads(raw)
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # bad UTF-8, or an integer of over 4300 digits
+                raise StreamFormatError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            try:
                 if not isinstance(obj, dict):
                     raise FieldError("expected a JSON object")
                 done.append(parse_line(obj, done))
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
             except FieldError as exc:
                 raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
     return done
@@ -260,19 +261,6 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
 # World streams (query results)
 
 
-@dataclass(frozen=True)
-class AnchorRecord:
-    """One serialized anchor line entry."""
-
-    anchor_id: str
-    object_type: str
-    position: Vec2
-    size: Vec2
-    confidence: float
-    status: str
-    parent: str | None = None
-
-
 def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for frame_index, anchors in frames:
@@ -290,32 +278,6 @@ def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> 
                     entry["parent"] = a.parent
                 entries.append(entry)
             handle.write(_dump_line({"frame": frame_index, "anchors": entries}))
-
-
-def read_world_stream(path) -> list[tuple[int, tuple[AnchorRecord, ...]]]:
-    return _parse_lines(path, _world_line)
-
-
-def _world_line(obj: dict, frames: list) -> tuple[int, tuple[AnchorRecord, ...]]:
-    frame_index = integer(obj.get("frame"), "frame")
-    if frames and frame_index <= frames[-1][0]:
-        raise FieldError("frame index not strictly increasing")
-    records = []
-    for i, entry in enumerate(object_list(obj.get("anchors", []), "anchors")):
-        label = f"anchors[{i}]"
-        parent = entry.get("parent")
-        records.append(
-            AnchorRecord(
-                anchor_id=string(entry.get("id"), f"{label}.id"),
-                object_type=string(entry.get("type"), f"{label}.type"),
-                position=pair(entry.get("pos"), f"{label}.pos"),
-                size=pair(entry.get("size"), f"{label}.size"),
-                confidence=number(entry.get("conf"), f"{label}.conf"),
-                status=string(entry.get("status"), f"{label}.status"),
-                parent=None if parent is None else string(parent, f"{label}.parent"),
-            )
-        )
-    return frame_index, tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +393,8 @@ _ENGINE_FIELDS = {
 }
 
 
-def load_engine_config(spec: str | None = None) -> EngineConfig:
-    """Resolve a preset name or JSON file path into an ``EngineConfig``.
-
-    Falls back to the ``ANCHORKIT_CONFIG`` environment variable and then the
-    ``benchmark`` preset when ``spec`` is omitted.
-    """
-    if spec is None:
-        spec = os.environ.get(CONFIG_ENV_VAR) or "benchmark"
+def load_engine_config(spec: str) -> EngineConfig:
+    """Resolve a preset name or JSON file path into an ``EngineConfig``."""
     if spec in PRESETS:
         return EngineConfig(**PRESETS[spec])
     if not Path(spec).exists():

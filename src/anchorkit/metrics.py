@@ -5,7 +5,7 @@ videos."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .core import Box, EngineError, box_corners, box_intersection
@@ -173,29 +173,17 @@ def render_table(rows: Sequence[tuple[str, BucketStats]]) -> str:
 
 
 def results_csv(rows: Sequence[tuple[str, BucketStats]]) -> str:
-    lines = ["tracker,subtask,mean_iou,sem_iou,mean_l2,sem_l2,n_videos"]
-    for tracker, s in rows:
-        lines.append(
-            f"{tracker},{s.subtask},{s.mean_iou!r},{s.sem_iou!r},{s.mean_l2!r},{s.sem_l2!r},{s.n_videos}"
-        )
-    return "\n".join(lines) + "\n"
+    """One line per row: the tracker, then the ``BucketStats`` fields in
+    order; floats keep full ``repr`` precision."""
+    header = ",".join(["tracker", *(f.name for f in fields(BucketStats))])
+    lines = [",".join(map(str, (tracker, *astuple(s)))) for tracker, s in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def results_json_payload(
     rows: Sequence[tuple[str, BucketStats]], excluded: int = 0
 ) -> dict:
     return {
-        "results": [
-            {
-                "tracker": tracker,
-                "subtask": s.subtask,
-                "mean_iou": s.mean_iou,
-                "sem_iou": s.sem_iou,
-                "mean_l2": s.mean_l2,
-                "sem_l2": s.sem_l2,
-                "n_videos": s.n_videos,
-            }
-            for tracker, s in rows
-        ],
+        "results": [{"tracker": tracker, **asdict(s)} for tracker, s in rows],
         "excluded_videos": excluded,
     }

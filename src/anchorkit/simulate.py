@@ -29,7 +29,6 @@ from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, re
 from .metrics import Scenario
 from .tracker import FrameInput
 
-LABELS = ("visible", "occluded", "contained", "carried")
 MOTION_KINDS = ("slide", "pick_place", "contain", "uncontain")
 EVENT_KINDS = MOTION_KINDS + ("rotate",)
 GHOST_TYPES = ("cone", "cube", "sphere", "cylinder")
@@ -116,14 +115,12 @@ class SimDetection:
     object_type: str
     position: Vec2  # image coordinates
     size: Vec2
-    score: float = 1.0
 
 
 @dataclass(frozen=True)
 class ScenarioRecord:
     """Everything a scenario produced: truth, labels, events, detections."""
 
-    seed: int
     frames: int
     viewport: Vec2
     objects: tuple[ObjectSpec, ...]
@@ -134,12 +131,6 @@ class ScenarioRecord:
     detections: tuple[tuple[Percept, ...], ...]
     visibility: tuple[frozenset[str], ...]  # pre-noise detectable object names
     attachments: tuple[tuple[str, str, int, int], ...]  # (child, parent, start, end)
-
-    def object_spec(self, name: str) -> ObjectSpec:
-        for spec in self.objects:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
     def target_name(self, target_type: str) -> str:
         for spec in self.objects:
@@ -368,7 +359,7 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     if config.frames < 2:
         raise SimulationError("need at least two frames")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_seed(config.seed, "seed"))
     objects = config.objects
     if objects is None:
         objects = _random_layout(rng, config)
@@ -456,11 +447,7 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         else:
             labels.append("visible")
 
-    noisy = clean
-    noise = config.noise
-    if noise.miss_rate > 0 or noise.ghost_rate > 0 or noise.jitter_sigma > 0:
-        noisy = corrupt(clean, noise, config.seed + 7919, config.viewport)
-
+    noisy = corrupt(clean, config.noise, config.seed + 7919, config.viewport)
     detections = tuple(
         tuple(
             Percept(
@@ -468,7 +455,6 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
                 attributes=Attributes(
                     object_type=det.object_type, position=det.position, size=det.size
                 ),
-                detector_score=det.score,
             )
             for i, det in enumerate(frame_dets)
         )
@@ -476,7 +462,6 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     )
 
     return ScenarioRecord(
-        seed=config.seed,
         frames=config.frames,
         viewport=config.viewport,
         objects=tuple(objects),
@@ -754,15 +739,33 @@ def _random_script(
 # Scenario templates
 
 
-def _grid_layout(
-    rng: np.random.Generator, n_objects: int, snitch_slot: int
-) -> tuple[ObjectSpec, ...]:
+def _grid_config(
+    template: str, seed: int, frames: int, n_objects: int, noise: NoiseConfig
+) -> ScenarioConfig:
+    """The static and camera templates: 2..8 objects on a jittered 4 x 2 grid
+    and no script; the camera template pans the viewport over them."""
+    if not (2 <= n_objects <= 8):
+        raise SimulationError(f"{template} template supports 2..8 objects")
+    camera = ((0, (0.0, 0.0)),)
+    if template == "camera":
+        if frames < 260:
+            raise SimulationError("camera template needs at least 260 frames")
+        # Integer waypoint deltas divisible by their spans keep poses exact.
+        camera = (
+            (0, (0.0, 0.0)),
+            (50, (0.0, 0.0)),
+            (150, (100.0, 0.0)),
+            (210, (100.0, 60.0)),
+            (300, (10.0, -30.0)),
+        )
+    rng = np.random.default_rng(seed)
     slots = [(60.0 + 90.0 * col, 70.0 + 100.0 * row) for row in range(2) for col in range(4)]
     cycle = ("cube", "sphere", "cylinder", "cone")
-    specs: list[ObjectSpec] = []
+    snitch_slot = min(6, n_objects - 1)
+    objects: list[ObjectSpec] = []
     type_counts: dict[str, int] = {}
     for i in range(n_objects):
-        x, y = slots[i % len(slots)]
+        x, y = slots[i]
         x += float(rng.uniform(-6.0, 6.0))
         y += float(rng.uniform(-6.0, 6.0))
         if i == snitch_slot:
@@ -772,35 +775,9 @@ def _grid_layout(
         n = type_counts.get(object_type, 0)
         type_counts[object_type] = n + 1
         side = DEFAULT_SIZES[object_type]
-        specs.append(ObjectSpec(f"{object_type}{n}", object_type, (side, side), (x, y)))
-    return tuple(specs)
-
-
-def _static_config(seed: int, frames: int, n_objects: int, noise: NoiseConfig) -> ScenarioConfig:
-    rng = np.random.default_rng(seed)
-    if not (2 <= n_objects <= 8):
-        raise SimulationError("static template supports 2..8 objects")
-    objects = _grid_layout(rng, n_objects, snitch_slot=min(6, n_objects - 1))
+        objects.append(ObjectSpec(f"{object_type}{n}", object_type, (side, side), (x, y)))
     return ScenarioConfig(
-        seed=seed, frames=frames, objects=objects, script=(), noise=noise
-    )
-
-
-def _camera_config(seed: int, frames: int, n_objects: int, noise: NoiseConfig) -> ScenarioConfig:
-    if frames < 260:
-        raise SimulationError("camera template needs at least 260 frames")
-    rng = np.random.default_rng(seed)
-    objects = _grid_layout(rng, n_objects, snitch_slot=min(6, n_objects - 1))
-    # Integer waypoint deltas divisible by their spans keep poses exact.
-    waypoints = (
-        (0, (0.0, 0.0)),
-        (50, (0.0, 0.0)),
-        (150, (100.0, 0.0)),
-        (210, (100.0, 60.0)),
-        (300, (10.0, -30.0)),
-    )
-    return ScenarioConfig(
-        seed=seed, frames=frames, objects=objects, script=(), camera=waypoints, noise=noise
+        seed=seed, frames=frames, objects=tuple(objects), script=(), camera=camera, noise=noise
     )
 
 
@@ -972,6 +949,17 @@ def scenario_config_from_json(raw: dict, default_seed: int = 0) -> ScenarioConfi
     return ScenarioConfig(**{"seed": default_seed, **read_fields(raw, _SCENARIO_FIELDS)})
 
 
+# Template name -> builder(seed, frames, n_objects, noise). Only the grid
+# templates take the object count.
+TEMPLATES = {
+    "static": lambda seed, frames, n, noise: _grid_config("static", seed, frames, n, noise),
+    "camera": lambda seed, frames, n, noise: _grid_config("camera", seed, frames, n, noise),
+    "mixed": lambda seed, frames, n, noise: _mixed_config(seed, frames, noise),
+    "carried": lambda seed, frames, n, noise: _carried_config(seed, frames, noise),
+    "random": lambda seed, frames, n, noise: ScenarioConfig(seed=seed, frames=frames, noise=noise),
+}
+
+
 def build_template(
     template: str,
     seed: int,
@@ -980,16 +968,6 @@ def build_template(
     noise: NoiseConfig = NoiseConfig(),
 ) -> ScenarioConfig:
     """Named scenario families used by the test suites and the CLI."""
-    if template == "static":
-        return _static_config(seed, frames, n_objects, noise)
-    if template == "camera":
-        return _camera_config(seed, frames, n_objects, noise)
-    if template == "mixed":
-        return _mixed_config(seed, frames, noise)
-    if template == "carried":
-        return _carried_config(seed, frames, noise)
-    if template == "random":
-        return ScenarioConfig(seed=seed, frames=frames, noise=noise)
-    raise SimulationError(f"unknown template {template!r}")
-
-TEMPLATES = ("static", "camera", "mixed", "carried", "random")
+    if template not in TEMPLATES:
+        raise SimulationError(f"unknown template {template!r}")
+    return TEMPLATES[template](_seed(seed, "seed"), frames, n_objects, noise)

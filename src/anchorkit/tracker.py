@@ -364,8 +364,5 @@ class AnchoringEngine:
     def query(self, level: str = ANCHORED) -> list[Anchor]:
         return query(self.model, self.config, level)
 
-    def relations(self) -> list[tuple[str, str, str]]:
-        return infer_relations(self.model, self.config)
-
     def predict(self, target_type: str) -> Anchor | None:
         return predict_target(self.model, self.config, target_type)

@@ -228,7 +228,6 @@ class TestAlign:
         model = WorldModel(anchors=(make_anchor("cube0", pos=(100.0, 100.0)),))
         result = align([make_percept(0, pos=(103.0, 100.0))], model, EngineConfig())
         assert result.matches == ((0, "cube0", 9.0),)
-        assert result.unmatched_anchors == ()
 
     def test_pair_at_or_above_tau_is_demoted(self):
         # 84 px apart -> squared distance 7056 >= 6500
@@ -236,7 +235,6 @@ class TestAlign:
         result = align([make_percept(0, pos=(84.0, 0.0))], model, EngineConfig())
         assert result.matches == ()
         assert result.unmatched_percepts == (0,)
-        assert result.unmatched_anchors == ("cube0",)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)

@@ -8,13 +8,11 @@ import pytest
 from anchorkit.cli import main
 from anchorkit.core import ATTACHED, ActionRule, Anchor, Attributes, ConfigError, EngineConfig
 from anchorkit.io_jsonl import (
-    CONFIG_ENV_VAR,
     StreamFormatError,
     load_engine_config,
     load_scenario,
     read_detection_stream,
     read_predictions,
-    read_world_stream,
     write_detection_stream,
     write_predictions,
     write_world_stream,
@@ -100,6 +98,23 @@ class TestDetectionStreams:
         with pytest.raises(StreamFormatError, match=r"broken\.jsonl:2"):
             read_detection_stream(path)
 
+    @pytest.mark.parametrize(
+        "second",
+        [
+            b'{"frame": 1, "detections": [], "note": "\xff"}',
+            b'{"frame": 1' + b"0" * 4400 + b', "detections": []}',
+        ],
+        ids=["bad-utf8", "long-integer"],
+    )
+    def test_track_reports_an_unreadable_line_and_exits_1(self, tmp_path, capsys, second):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"frame": 0, "detections": []}\n' + second + b"\n")
+        assert main(["track", "--detections", str(path),
+                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: invalid JSON"), err
+        assert "Traceback" not in err
+
     def test_non_monotone_frames_rejected(self, tmp_path):
         path = tmp_path / "order.jsonl"
         lines = [
@@ -175,47 +190,20 @@ class TestWorldStreams:
         write_world_stream(path, [(3, anchors)])
         raw = path.read_text(encoding="utf-8")
         assert '"parent":"cone0"' in raw
-        (frame_index, records), = read_world_stream(path)
-        assert frame_index == 3
-        assert records[0].parent is None
-        assert records[1].parent == "cone0"
-        assert records[1].position == (11.0, 20.0)
-        # serialising what was read back produces identical bytes
-        again = tmp_path / "world2.jsonl"
-        rebuilt = tuple(
-            Anchor(
-                r.anchor_id,
-                Attributes(r.object_type, r.position, r.size),
-                r.confidence,
-                r.status,
-                3,
-                parent=r.parent,
-                parent_offset=(0.0, 0.0) if r.parent else None,
-            )
-            for r in records
-        )
-        write_world_stream(again, [(3, rebuilt)])
-        assert again.read_text(encoding="utf-8") == raw
+        line = json.loads(raw)
+        assert line == {"frame": 3, "anchors": [
+            {"id": "cone0", "type": "cone", "pos": [10.0, 20.0], "size": [40.0, 40.0],
+             "conf": 0.7, "status": "visible"},
+            {"id": "snitch0", "type": "snitch", "pos": [11.0, 20.0], "size": [18.0, 18.0],
+             "conf": 0.9, "status": ATTACHED, "parent": "cone0"},
+        ]}
+        # one compact line, keys in the documented order
+        assert raw == json.dumps(line, separators=(",", ":")) + "\n"
 
     def test_empty_anchor_list_line(self, tmp_path):
         path = tmp_path / "world.jsonl"
         write_world_stream(path, [(0, ())])
-        assert '"anchors":[]' in path.read_text(encoding="utf-8")
-        assert read_world_stream(path) == [(0, ())]
-
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("id", None), ("type", None), ("conf", None), ("status", None), ("conf", True)],
-    )
-    def test_missing_or_mistyped_field_names_field_and_line(self, tmp_path, key, value):
-        entry = {"id": "cone0", "type": "cone", "pos": [1, 2], "size": [4, 4],
-                 "conf": 0.5, "status": "visible", key: value}
-        entry = {k: v for k, v in entry.items() if v is not None}
-        path = tmp_path / "world.jsonl"
-        write_lines(path, [{"frame": 0, "anchors": []}, {"frame": 1, "anchors": [entry]}])
-        with pytest.raises(StreamFormatError, match=rf"world\.jsonl:2: anchors\[0\]\.{key}"):
-            read_world_stream(path)
+        assert path.read_text(encoding="utf-8") == '{"frame":0,"anchors":[]}\n'
 
 
 class TestPredictions:
@@ -397,14 +385,6 @@ class TestEngineConfigLoading:
                      "--predictions-out", str(preds)]) == 0
         assert len(read_predictions(preds)) == 2
 
-    def test_env_var_default(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.json"
-        path.write_text('{"kappa_anch": 0.25, "kappa_inf": 0.25}', encoding="utf-8")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_engine_config().kappa_anch == 0.25
-        monkeypatch.delenv(CONFIG_ENV_VAR)
-        assert load_engine_config() == EngineConfig()
-
 
 class TestCli:
     def test_simulate_is_byte_deterministic(self, tmp_path, capsys):
@@ -528,6 +508,14 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert "event 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("template", ["static", "camera"])
+    @pytest.mark.parametrize("objects", [1, 12])
+    def test_grid_templates_take_2_to_8_objects(self, tmp_path, capsys, template, objects):
+        assert main(["simulate", "--template", template, "--objects", str(objects),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {template} template supports 2..8 objects"), err
+
     def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
         noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)
         noise_flags = ["--miss-rate", "0.1", "--ghost-rate", "0.05", "--jitter-sigma", "1.5"]
@@ -591,6 +579,17 @@ class TestScenarioConfigFiles:
         code, path = self.simulate(tmp_path, config)
         assert code == 1
         assert_cli_error(capsys, path, field)
+
+    @pytest.mark.parametrize("source", ["mixed", "random", "file"])
+    def test_a_negative_seed_flag_is_an_error(self, tmp_path, capsys, source):
+        # A file without its own seed takes the one from --seed.
+        path = write_config(tmp_path / "scenario.json",
+                            {k: v for k, v in scenario_json().items() if k != "seed"})
+        flags = ["--scenario-config", path] if source == "file" else ["--template", source]
+        assert main(["simulate", "--seed", "-1", *flags, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0"), err
+        assert "Traceback" not in err
 
     def test_meta_records_the_generated_seed_and_noise(self, tmp_path, capsys):
         noise = {"miss_rate": 0.1, "ghost_rate": 0.05, "jitter_sigma": 0.5,

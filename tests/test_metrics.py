@@ -6,6 +6,7 @@ import pytest
 
 from anchorkit.core import Attributes, EngineConfig, Percept
 from anchorkit.metrics import (
+    BucketStats,
     EvalError,
     Scenario,
     VideoScores,
@@ -13,6 +14,8 @@ from anchorkit.metrics import (
     box_corners,
     iou,
     l2_center,
+    results_csv,
+    results_json_payload,
     score_stream,
 )
 from anchorkit.pipeline import run_engine_stream
@@ -157,6 +160,35 @@ class TestAggregate:
         assert by_bucket["visible"].n_videos == 1
         assert by_bucket["carried"].n_videos == 1
         assert by_bucket["overall"].n_videos == 2
+
+
+
+class TestResultWriters:
+    ROWS = [
+        ("aapa", BucketStats("visible", 0.1, 1 / 3, 12.5, 0.0, 4)),
+        ("heuristic", BucketStats("overall", 2 / 3, 0.0, 1e-17, 123456.789, 1)),
+    ]
+
+    def test_csv_text(self):
+        assert results_csv(self.ROWS) == (
+            "tracker,subtask,mean_iou,sem_iou,mean_l2,sem_l2,n_videos\n"
+            "aapa,visible,0.1,0.3333333333333333,12.5,0.0,4\n"
+            "heuristic,overall,0.6666666666666666,0.0,1e-17,123456.789,1\n"
+        )
+
+    def test_json_payload(self):
+        payload = results_json_payload(self.ROWS, excluded=2)
+        keys = ["tracker", "subtask", "mean_iou", "sem_iou", "mean_l2", "sem_l2", "n_videos"]
+        assert payload == {
+            "results": [
+                dict(zip(keys, ["aapa", "visible", 0.1, 1 / 3, 12.5, 0.0, 4])),
+                dict(zip(keys, ["heuristic", "overall", 2 / 3, 0.0, 1e-17, 123456.789, 1])),
+            ],
+            "excluded_videos": 2,
+        }
+        assert list(payload) == ["results", "excluded_videos"]
+        assert all(list(row) == keys for row in payload["results"])
+        assert results_json_payload([]) == {"results": [], "excluded_videos": 0}
 
 
 def test_noiseless_suite_scores_perfectly_end_to_end():

@@ -99,8 +99,8 @@ class TestNoiselessSemantics:
         for child, parent, start, end in record.attachments:
             if child != snitch:
                 continue
-            half_w = record.object_spec(parent).size[0] / 2
-            half_h = record.object_spec(parent).size[1] / 2
+            spec = next(o for o in record.objects if o.name == parent)
+            half_w, half_h = spec.size[0] / 2, spec.size[1] / 2
             for f in range(start, min(end, record.frames)):
                 cx, cy = record.truth[f][child]
                 px, py = record.truth[f][parent]
