@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from anchorkit.alignment import (
     align,
@@ -112,6 +113,56 @@ class TestCostMatrix:
         cm = build_cost_matrix([make_percept(0)], [], EngineConfig())
         assert cm.values.shape == (1, 0)
 
+    def test_bit_identical_to_the_einsum_formula(self):
+        # The cost as an einsum over (x, y, w, h) differences; the build must
+        # give the same bits, not merely close values.
+        def einsum_cost(percepts, anchors, psi_mismatch):
+            if not percepts or not anchors:
+                return np.zeros((len(percepts), len(anchors)), dtype=float)
+            pp = np.array(
+                [[*p.attributes.position, *p.attributes.size] for p in percepts], dtype=float
+            )
+            aa = np.array(
+                [[*a.attributes.position, *a.attributes.size] for a in anchors], dtype=float
+            )
+            diff = pp[:, None, :] - aa[None, :, :]
+            dist = np.einsum("ijk,ijk->ij", diff, diff)
+            p_types = np.array([p.attributes.object_type for p in percepts])
+            a_types = np.array([a.attributes.object_type for a in anchors])
+            psi = np.where(p_types[:, None] == a_types[None, :], 1.0, psi_mismatch)
+            return psi * dist
+
+        rng = np.random.default_rng(31)
+        kinds = ["cube", "cone", "sphere", "snitch"]
+        exponents = [-160, -8, 0, 0, 2, 2, 8, 160]
+        checked = 0
+        for trial in range(400):
+            n_p, n_a = (int(n) for n in rng.integers(0, 14, size=2))
+            if trial % 50 == 0:
+                n_p, n_a = 48, 49
+
+            def side(n):
+                # Each cell has its own sign and magnitude, from tiny to overflowing.
+                scale = 10.0 ** rng.choice(exponents, size=(n, 4))
+                cells = rng.uniform(-1.0, 1.0, size=(n, 4)) * scale
+                if trial % 3 == 0:
+                    cells = np.round(rng.uniform(0.0, 400.0, size=(n, 4)) * 2.0) / 2.0
+                pool = kinds[: 1 + trial % len(kinds)]
+                return [
+                    (str(rng.choice(pool)), (float(x), float(y)), (float(w), float(h)))
+                    for x, y, w, h in cells
+                ]
+
+            percepts = [make_percept(i, *spec) for i, spec in enumerate(side(n_p))]
+            anchors = [make_anchor(f"a{i}", *spec) for i, spec in enumerate(side(n_a))]
+            psi = float(rng.choice([1.0, 3.7, 5.0]))
+            got = build_cost_matrix(percepts, anchors, EngineConfig(psi_mismatch=psi)).values
+            want = einsum_cost(percepts, anchors, psi)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), trial
+            checked += got.size
+        assert checked > 10_000
+
 
 class TestSolveAssignment:
     def test_zero_diagonal(self):
@@ -164,6 +215,24 @@ _tied_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
+def large_matrices() -> list[tuple[str, np.ndarray]]:
+    """A fixed batch of 17-60-row matrices, square and rectangular: integers
+    0-2 and half-integers 0-2 (many tied optima) and continuous values."""
+    rng = random.Random(2026)
+    cells = {
+        "integer": lambda: float(rng.randint(0, 2)),
+        "half": lambda: rng.randint(0, 4) / 2.0,
+        "continuous": lambda: rng.uniform(0.0, 100.0),
+    }
+    batch = []
+    for kind, cell in cells.items():
+        for _ in range(30):
+            rows, cols = rng.randint(17, 60), rng.randint(17, 60)
+            values = np.array([[cell() for _ in range(cols)] for _ in range(rows)])
+            batch.append((kind, values))
+    return batch
+
+
 class TestSolveAssignmentTies:
     """Which of several equal-cost optima ``solve_assignment`` returns.
 
@@ -212,6 +281,27 @@ class TestSolveAssignmentTies:
             out.append(solve_assignment(np.array(values, dtype=float)))
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
         assert digest == "688e46c83a4d1d8d5eb132bc67141163188d8496958476183ffd9277d9d033a4"
+
+    def test_outputs_on_a_large_fixed_batch_are_pinned(self):
+        out = [solve_assignment(values) for _, values in large_matrices()]
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "32eef4e69f49fc58aa47dea7efaf4ee946b6824c8abd0153e02bcd3dfd476616"
+
+    @pytest.mark.parametrize("kind", ["integer", "half", "continuous"])
+    def test_no_tie_left_to_swap_on_large_matrices(self, kind):
+        for _, values in (m for m in large_matrices() if m[0] == kind):
+            got = solve_assignment(values)
+            rows = [r for r, _ in got]
+            cols = [c for _, c in got]
+            assert len(got) == min(values.shape)
+            assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+            best_rows, best_cols = linear_sum_assignment(values)
+            want_cost = values[best_rows, best_cols].sum()
+            assert sum(values[r, c] for r, c in got) == pytest.approx(want_cost, rel=1e-12)
+            for i, (ri, ci) in enumerate(got):
+                for rk, ck in got[i + 1 :]:
+                    swapped = values[ri, ck] + values[rk, ci]
+                    assert not (ci > ck and values[ri, ci] + values[rk, ck] == swapped)
 
 
 class TestAlign:

@@ -9,9 +9,11 @@ from anchorkit.core import (
     Attributes,
     ConfigError,
     EngineConfig,
+    Percept,
     WorldModel,
     validate_world_model,
 )
+from anchorkit.tracker import HypothesisOutcome
 
 
 def make_anchor(aid, kind="cube", pos=(100.0, 100.0), conf=0.5, status=VISIBLE,
@@ -25,6 +27,51 @@ def make_anchor(aid, kind="cube", pos=(100.0, 100.0), conf=0.5, status=VISIBLE,
         parent=parent,
         parent_offset=offset,
     )
+
+
+class TestValueRecords:
+    """Attributes, Percept, Anchor and HypothesisOutcome are immutable values
+    built by keyword or by position, with the defaults and repr they document."""
+
+    attrs = Attributes("cube", (1.0, 2.0), (3.0, 4.0))
+
+    def records(self):
+        return [
+            self.attrs,
+            Percept(percept_id=7, attributes=self.attrs),
+            Anchor(anchor_id="cube0", attributes=self.attrs, confidence=0.5,
+                   status=VISIBLE, last_seen_frame=3),
+            HypothesisOutcome(anchor_id="cube0", new_status=VISIBLE, new_confidence=0.5,
+                              new_position=(1.0, 2.0), reason="matched"),
+        ]
+
+    def test_fields_cannot_be_assigned(self):
+        for record in self.records():
+            for name in type(record).__annotations__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_keyword_construction_and_defaults(self):
+        percept, anchor = self.records()[1:3]
+        assert percept.detector_score == 1.0
+        assert percept.box == ((1.0, 2.0), (3.0, 4.0))
+        assert anchor.parent is None and anchor.parent_offset is None
+        assert anchor.box == percept.box and anchor.object_type == "cube"
+        assert anchor == Anchor("cube0", self.attrs, 0.5, VISIBLE, 3, None, None)
+
+    def test_repr_names_every_field(self):
+        attrs, percept, anchor, outcome = self.records()
+        attrs_repr = "Attributes(object_type='cube', position=(1.0, 2.0), size=(3.0, 4.0))"
+        assert repr(attrs) == attrs_repr
+        assert repr(percept) == f"Percept(percept_id=7, attributes={attrs_repr}, detector_score=1.0)"
+        assert repr(anchor) == (
+            f"Anchor(anchor_id='cube0', attributes={attrs_repr}, confidence=0.5, "
+            "status='visible', last_seen_frame=3, parent=None, parent_offset=None)"
+        )
+        assert repr(outcome) == (
+            "HypothesisOutcome(anchor_id='cube0', new_status='visible', new_confidence=0.5, "
+            "new_position=(1.0, 2.0), reason='matched')"
+        )
 
 
 def test_empty_model_is_valid():
