@@ -74,27 +74,36 @@ def compensate_camera_motion(
 def build_cost_matrix(
     percepts: Sequence[Percept], anchors: Sequence[Anchor], config: EngineConfig
 ) -> CostMatrix:
-    """entry(i, j) = psi * (||pos_i - pos_j||^2 + ||size_i - size_j||^2).
+    """entry(i, j) = psi * ((dx*dx + dw*dw) + (dy*dy + dh*dh)).
 
-    psi is 1 when object types match and ``config.psi_mismatch`` otherwise.
-    Either side may be empty, yielding a degenerate matrix.
+    dx, dy, dw and dh are the differences of the box centers and sizes of
+    percept i and anchor j, so the sum is ||pos_i - pos_j||^2 +
+    ||size_i - size_j||^2, added in the order written. psi is 1 when object
+    types match and ``config.psi_mismatch`` otherwise. Either side may be
+    empty, yielding a degenerate matrix.
     """
     n_p, n_a = len(percepts), len(anchors)
     if n_p == 0 or n_a == 0:
         values = np.zeros((n_p, n_a), dtype=float)
     else:
-        pp = np.array(
-            [[*p.attributes.position, *p.attributes.size] for p in percepts], dtype=float
+        # x, y, w and h of every percept, then every anchor, one row per
+        # axis; object types become integer codes from one dict.
+        codes: dict[str, int] = {}
+        cells: list[float] = []
+        types: list[int] = []
+        for record in (*percepts, *anchors):
+            kind, (x, y), (w, h) = record.attributes
+            cells += (x, y, w, h)
+            types.append(codes.setdefault(kind, len(codes)))
+        axes = np.array(cells, dtype=float).reshape(-1, 4).T.copy()
+        diff = axes[:, :n_p, None] - axes[:, None, n_p:]
+        diff *= diff
+        values = diff[0] + diff[2]
+        values += diff[1] + diff[3]
+        kinds = np.array(types)
+        values = np.where(
+            kinds[:n_p, None] == kinds[n_p:], values, values * config.psi_mismatch
         )
-        aa = np.array(
-            [[*a.attributes.position, *a.attributes.size] for a in anchors], dtype=float
-        )
-        diff = pp[:, None, :] - aa[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        p_types = np.array([p.attributes.object_type for p in percepts])
-        a_types = np.array([a.attributes.object_type for a in anchors])
-        psi = np.where(p_types[:, None] == a_types[None, :], 1.0, config.psi_mismatch)
-        values = psi * dist
     return CostMatrix(
         values=values,
         percept_ids=tuple(p.percept_id for p in percepts),
@@ -102,10 +111,19 @@ def build_cost_matrix(
     )
 
 
-def _canonicalize(pairs: list[tuple[int, int]], values: np.ndarray) -> list[tuple[int, int]]:
+# Above this many pairs ``_canonicalize`` first looks for a cost-neutral swap
+# with numpy, which costs more than the Python sweep on a few pairs.
+_SWEEP_CUTOFF = 16
+
+
+def _canonicalize(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> list[tuple[int, int]]:
     # Resolve cost ties deterministically: sweep pairwise swaps that keep the
-    # total cost exactly equal, handing the lower row the lower column.
-    pairs.sort()
+    # total cost exactly equal, handing the lower row the lower column. The
+    # pairs come in ascending row order.
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    if len(pairs) > _SWEEP_CUTOFF and not _has_neutral_swap(rows, cols, values):
+        # The sweep would pass once over the pairs and swap none.
+        return pairs
     changed = True
     while changed:
         changed = False
@@ -119,6 +137,18 @@ def _canonicalize(pairs: list[tuple[int, int]], values: np.ndarray) -> list[tupl
                     ri, ci = pairs[i]
                     changed = True
     return pairs
+
+
+def _has_neutral_swap(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bool:
+    # The sweep's test, with the same additions, on every inverted pair
+    # (i < k and c_i > c_k): the only pairs it can swap.
+    if (cols[1:] > cols[:-1]).all():
+        return False
+    i, k = np.nonzero(cols[:, None] > cols)
+    inverted = i < k
+    i, k = i[inverted], k[inverted]
+    ri, ci, rk, ck = rows[i], cols[i], rows[k], cols[k]
+    return bool((values[ri, ci] + values[rk, ck] == values[ri, ck] + values[rk, ci]).any())
 
 
 def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
@@ -145,9 +175,10 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
         square = np.full((n, n), 10.0 * float(values.max()) + 1.0, dtype=float)
         square[:n_rows, :n_cols] = values
 
+    # The row indices come back in ascending order.
     rows, cols = linear_sum_assignment(square)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if r < n_rows and c < n_cols]
-    return _canonicalize(pairs, values)
+    real = (rows < n_rows) & (cols < n_cols)
+    return _canonicalize(rows[real], cols[real], values)
 
 
 def align(

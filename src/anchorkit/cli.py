@@ -34,8 +34,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--scenario-config", default=None,
                    help="JSON scenario description; overrides template and noise flags")
     p.add_argument("--count", type=int, default=1, help="number of scenarios (seed, seed+1, ...)")
-    p.add_argument("--objects", type=int, default=8,
-                   help="object count (2..8) for static/camera templates")
+    p.add_argument("--objects", type=int, default=None,
+                   help="object count (2..8, default 8); static and camera templates only")
     p.add_argument("--miss-rate", type=float, default=0.0)
     p.add_argument("--ghost-rate", type=float, default=0.0)
     p.add_argument("--jitter-sigma", type=float, default=0.0)
@@ -73,6 +73,13 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.objects is not None and (
+        args.scenario_config or args.template not in ("static", "camera")
+    ):
+        source = "a scenario config file" if args.scenario_config else f"the {args.template} template"
+        print(f"error: --objects applies to the static and camera templates, not to {source}",
+              file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     noise = NoiseConfig(
@@ -93,9 +100,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.scenario_config}: {exc}") from None
         else:
-            config = build_template(
-                args.template, seed, frames=args.frames, n_objects=args.objects, noise=noise
-            )
+            objects = {} if args.objects is None else {"n_objects": args.objects}
+            config = build_template(args.template, seed, frames=args.frames, noise=noise, **objects)
         record = generate(config)
         scenario = record.scenario()
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 Vec2 = tuple[float, float]
 Box = tuple[Vec2, Vec2]  # (center, size); image frame: origin top-left, x right, y down
@@ -50,8 +50,13 @@ class ConfigError(EngineError):
     """Invalid engine configuration."""
 
 
-@dataclass(frozen=True)
-class Attributes:
+# Attributes, Percept and Anchor (and the tracker's HypothesisOutcome) are
+# immutable named tuples, not frozen dataclasses: a crowded frame builds
+# hundreds of them, and a named tuple is built in well under half the time.
+# Derive a changed copy with ``._replace``.
+
+
+class Attributes(NamedTuple):
     """Perceived or estimated attributes of one object.
 
     ``position`` is the bounding-box center in pixels, ``size`` is
@@ -63,8 +68,7 @@ class Attributes:
     size: Vec2
 
 
-@dataclass(frozen=True)
-class Percept:
+class Percept(NamedTuple):
     """One detected object in one frame. ``percept_id`` is unique per frame."""
 
     percept_id: int
@@ -76,8 +80,7 @@ class Percept:
         return (self.attributes.position, self.attributes.size)
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
     """A persistent symbol for one physical object.
 
     ``anchor_id`` has the form ``typeN`` where N counts first anchorings per

@@ -46,6 +46,8 @@ def update_confidence(
     """
     c = anchor.confidence
     if was_aligned:
+        if c == 1.0:
+            return 1.0, False
         return min(1.0, _round_conf(c + config.conf_inc)), False
     if anchor.status == LOST or c < config.kappa_anch:
         new = _round_conf(c - config.conf_dec)
@@ -135,7 +137,7 @@ def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) ->
     if rule.effect == "detach":
         if child.parent is None:
             return model
-        freed = replace(child, parent=None, parent_offset=None, status=LOST)
+        freed = child._replace(parent=None, parent_offset=None, status=LOST)
         return _replace_anchor(model, freed)
 
     parent_id = args[rule.parent_arg]
@@ -159,8 +161,7 @@ def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) ->
     parent = by_id[parent_id]
     cx, cy = child.attributes.position
     px, py = parent.attributes.position
-    attached = replace(
-        child,
+    attached = child._replace(
         parent=parent_id,
         parent_offset=(cx - px, cy - py),
         status=ATTACHED,
@@ -201,6 +202,6 @@ def propagate_attachments(model: WorldModel) -> WorldModel:
         if position == anchor.attributes.position:
             updated.append(anchor)
         else:
-            attrs = replace(anchor.attributes, position=position)
-            updated.append(replace(anchor, attributes=attrs))
+            attrs = anchor.attributes._replace(position=position)
+            updated.append(anchor._replace(attributes=attrs))
     return replace(model, anchors=tuple(updated))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 from .alignment import align, compensate_camera_motion
 from .core import (
@@ -59,8 +60,7 @@ class FrameInput:
     actions: tuple[ActionEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class HypothesisOutcome:
+class HypothesisOutcome(NamedTuple):
     """What happened to one tracked entity during a cycle."""
 
     anchor_id: str
@@ -76,16 +76,21 @@ _HELD_REASONS = {OCCLUDED: REASON_OCCLUDED, OUT_OF_VIEW: REASON_OUT_OF_VIEW}
 
 # The two helpers below make the tracks on the per-track paths of ``step``.
 # They pass every field positionally, which is cheaper than keywords and far
-# cheaper than ``dataclasses.replace``.
+# cheaper than ``._replace``.
 
 
 def _adopt(
     track: Anchor, anchor_id: str, percept: Percept, frame_index: int, confidence: float
 ) -> Anchor:
+    # A track keeps its own type; the percept's attributes are taken as they
+    # are when the types agree, as they nearly always do.
     attrs = percept.attributes
+    kind = track.attributes.object_type
+    if attrs.object_type != kind:
+        attrs = Attributes(kind, attrs.position, attrs.size)
     return Anchor(
         anchor_id,
-        Attributes(track.attributes.object_type, attrs.position, attrs.size),
+        attrs,
         confidence,
         VISIBLE,
         frame_index,
@@ -261,7 +266,7 @@ def step(
         # Children of pruned parents resume independent tracking in place;
         # they get reclassified on the next cycle.
         anchors = [
-            replace(a, parent=None, parent_offset=None, status=LOST)
+            a._replace(parent=None, parent_offset=None, status=LOST)
             if a.parent in pruned_ids
             else a
             for a in anchors

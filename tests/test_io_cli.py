@@ -516,6 +516,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {template} template supports 2..8 objects"), err
 
+    @pytest.mark.parametrize(
+        "source, named",
+        [
+            (["--template", "mixed"], "the mixed template"),
+            (["--template", "carried"], "the carried template"),
+            (["--template", "random"], "the random template"),
+            ([], "the random template"),
+            (["--scenario-config", "unread.json"], "a scenario config file"),
+        ],
+    )
+    def test_objects_is_an_error_outside_the_grid_templates(self, tmp_path, capsys, source, named):
+        out = tmp_path / "out"
+        assert main(["simulate", *source, "--objects", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --objects applies to the static and camera templates, not to {named}\n"
+        assert not out.exists()
+
+    def test_grid_templates_default_to_8_objects(self, tmp_path, capsys):
+        assert main(["simulate", "--template", "static", "--frames", "20",
+                     "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "scenario.meta.json").read_text(encoding="utf-8"))
+        assert len(meta["objects"]) == 8
+
     def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
         noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)
         noise_flags = ["--miss-rate", "0.1", "--ghost-rate", "0.05", "--jitter-sigma", "1.5"]
