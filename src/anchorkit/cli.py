@@ -76,7 +76,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.objects is not None and (
         args.scenario_config or args.template not in ("static", "camera")
     ):
-        source = "a scenario config file" if args.scenario_config else f"the {args.template} template"
+        source = (
+            "a scenario config file" if args.scenario_config else f"the {args.template} template"
+        )
         print(f"error: --objects applies to the static and camera templates, not to {source}",
               file=sys.stderr)
         return 1
@@ -101,7 +103,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 raise ConfigError(f"{args.scenario_config}: {exc}") from None
         else:
             objects = {} if args.objects is None else {"n_objects": args.objects}
-            config = build_template(args.template, seed, frames=args.frames, noise=noise, **objects)
+            config = build_template(
+                args.template, seed, frames=args.frames, noise=noise, **objects
+            )
         record = generate(config)
         scenario = record.scenario()
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"

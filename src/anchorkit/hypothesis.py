@@ -46,7 +46,7 @@ def update_confidence(
     """
     c = anchor.confidence
     if was_aligned:
-        if c == 1.0:
+        if c == 1.0:  # already at the cap: skip the rounding
             return 1.0, False
         return min(1.0, _round_conf(c + config.conf_inc)), False
     if anchor.status == LOST or c < config.kappa_anch:

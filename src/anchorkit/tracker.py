@@ -75,8 +75,8 @@ _HELD_REASONS = {OCCLUDED: REASON_OCCLUDED, OUT_OF_VIEW: REASON_OUT_OF_VIEW}
 
 
 # The two helpers below make the tracks on the per-track paths of ``step``.
-# They pass every field positionally, which is cheaper than keywords and far
-# cheaper than ``._replace``.
+# They pass every field positionally, which is cheaper than keywords or
+# ``._replace``.
 
 
 def _adopt(

@@ -288,6 +288,18 @@ class TestSolveAssignmentTies:
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
         assert digest == "32eef4e69f49fc58aa47dea7efaf4ee946b6824c8abd0153e02bcd3dfd476616"
 
+    def test_one_cost_neutral_swap_among_many_pairs_is_made(self):
+        # 20 rows, one tie: rows a and a+1 cost 1 on either assignment, and
+        # no other swap keeps the total. The solver itself returns the swap
+        # that gives row a the higher column.
+        rng = np.random.default_rng(5)
+        for a in range(19):
+            values = 100.0 + rng.uniform(0.0, 100.0, size=(20, 20))
+            np.fill_diagonal(values, 0.0)
+            values[a, a] = values[a + 1, a] = 1.0
+            values[a, a + 1] = 0.0
+            assert solve_assignment(values) == [(i, i) for i in range(20)]
+
     @pytest.mark.parametrize("kind", ["integer", "half", "continuous"])
     def test_no_tie_left_to_swap_on_large_matrices(self, kind):
         for _, values in (m for m in large_matrices() if m[0] == kind):

@@ -63,7 +63,9 @@ class TestValueRecords:
         attrs, percept, anchor, outcome = self.records()
         attrs_repr = "Attributes(object_type='cube', position=(1.0, 2.0), size=(3.0, 4.0))"
         assert repr(attrs) == attrs_repr
-        assert repr(percept) == f"Percept(percept_id=7, attributes={attrs_repr}, detector_score=1.0)"
+        assert repr(percept) == (
+            f"Percept(percept_id=7, attributes={attrs_repr}, detector_score=1.0)"
+        )
         assert repr(anchor) == (
             f"Anchor(anchor_id='cube0', attributes={attrs_repr}, confidence=0.5, "
             "status='visible', last_seen_frame=3, parent=None, parent_offset=None)"

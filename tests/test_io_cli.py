@@ -526,11 +526,15 @@ class TestCli:
             (["--scenario-config", "unread.json"], "a scenario config file"),
         ],
     )
-    def test_objects_is_an_error_outside_the_grid_templates(self, tmp_path, capsys, source, named):
+    def test_objects_is_an_error_outside_the_grid_templates(
+        self, tmp_path, capsys, source, named
+    ):
         out = tmp_path / "out"
         assert main(["simulate", *source, "--objects", "3", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: --objects applies to the static and camera templates, not to {named}\n"
+        assert err == (
+            f"error: --objects applies to the static and camera templates, not to {named}\n"
+        )
         assert not out.exists()
 
     def test_grid_templates_default_to_8_objects(self, tmp_path, capsys):

@@ -70,6 +70,16 @@ def test_promotion_frame_reports_visible_status_and_single_outcome():
     assert engine.model.anchors[0].status == VISIBLE
 
 
+def test_a_match_of_another_type_keeps_the_track_type():
+    # With psi 1 a cone percept next to a cube anchor matches it; the anchor
+    # takes the percept's box and keeps its own type.
+    model = WorldModel(frame_index=0, anchors=(make_anchor("cube0"),))
+    percept = make_percept(0, kind="cone", pos=(103.0, 100.0), size=(22.0, 20.0))
+    model, outcomes = step(model, frame(1, [percept]), EngineConfig(psi_mismatch=1.0))
+    assert model.anchors[0].attributes == Attributes("cube", (103.0, 100.0), (22.0, 20.0))
+    assert [(o.anchor_id, o.reason) for o in outcomes] == [("cube0", "matched")]
+
+
 def test_empty_frame_on_empty_model_is_a_fixed_point():
     model, outcomes = step(WorldModel(), frame(0), CONFIG)
     assert model.anchors == () and model.candidates == ()
