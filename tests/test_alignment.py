@@ -216,6 +216,19 @@ _tied_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
+def assert_full_matching_with_no_tie_left(values: np.ndarray, got) -> None:
+    """min(rows, cols) pairs in ascending row order, each column once, and no
+    pair whose swap keeps the total and hands the lower row the lower column."""
+    rows = [r for r, _ in got]
+    cols = [c for _, c in got]
+    assert len(got) == min(values.shape)
+    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+    for i, (ri, ci) in enumerate(got):
+        for rk, ck in got[i + 1 :]:
+            swapped = values[ri, ck] + values[rk, ci]
+            assert not (ci > ck and values[ri, ci] + values[rk, ck] == swapped)
+
+
 def large_matrices() -> list[tuple[str, np.ndarray]]:
     """A fixed batch of 17-60-row matrices, square and rectangular: integers
     0-2 and half-integers 0-2 (many tied optima) and continuous values."""
@@ -247,15 +260,8 @@ class TestSolveAssignmentTies:
     def test_optimal_matching_with_no_tie_left_to_swap(self, values):
         got = solve_assignment(values)
         _, want_cost = brute_force_assignment(values)
-        rows = [r for r, _ in got]
-        cols = [c for _, c in got]
-        assert len(got) == min(values.shape)
-        assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+        assert_full_matching_with_no_tie_left(values, got)
         assert sum(values[r, c] for r, c in got) == want_cost
-        for i, (ri, ci) in enumerate(got):
-            for rk, ck in got[i + 1 :]:
-                swapped = values[ri, ck] + values[rk, ci]
-                assert not (ci > ck and values[ri, ci] + values[rk, ck] == swapped)
 
     @pytest.mark.parametrize(
         "values, pairs",
@@ -304,17 +310,10 @@ class TestSolveAssignmentTies:
     def test_no_tie_left_to_swap_on_large_matrices(self, kind):
         for _, values in (m for m in large_matrices() if m[0] == kind):
             got = solve_assignment(values)
-            rows = [r for r, _ in got]
-            cols = [c for _, c in got]
-            assert len(got) == min(values.shape)
-            assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+            assert_full_matching_with_no_tie_left(values, got)
             best_rows, best_cols = linear_sum_assignment(values)
             want_cost = values[best_rows, best_cols].sum()
             assert sum(values[r, c] for r, c in got) == pytest.approx(want_cost, rel=1e-12)
-            for i, (ri, ci) in enumerate(got):
-                for rk, ck in got[i + 1 :]:
-                    swapped = values[ri, ck] + values[rk, ci]
-                    assert not (ci > ck and values[ri, ci] + values[rk, ck] == swapped)
 
 
 class TestAlign:
