@@ -73,17 +73,11 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.objects is not None and (
-        args.scenario_config or args.template not in ("static", "camera")
-    ):
-        source = (
-            "a scenario config file" if args.scenario_config else f"the {args.template} template"
-        )
-        print(f"error: --objects applies to the static and camera templates, not to {source}",
-              file=sys.stderr)
+    if args.objects is not None and args.scenario_config:
+        print("error: --objects applies to the static and camera templates, "
+              "not to a scenario config file", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     noise = NoiseConfig(
         miss_rate=args.miss_rate,
         ghost_rate=args.ghost_rate,
@@ -102,11 +96,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.scenario_config}: {exc}") from None
         else:
-            objects = {} if args.objects is None else {"n_objects": args.objects}
             config = build_template(
-                args.template, seed, frames=args.frames, noise=noise, **objects
+                args.template, seed, frames=args.frames, n_objects=args.objects, noise=noise
             )
         record = generate(config)
+        out.mkdir(parents=True, exist_ok=True)
         scenario = record.scenario()
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"
         write_detection_stream(out / f"{stem}.detections.jsonl", scenario.inputs)

@@ -19,7 +19,8 @@ Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 {"pos", "size"}}. Every stream is ordered by strictly increasing frame
 index; line k of a truth file carries the frame and camera of line k of
 its detection stream, and a prediction's frame is its 0-based line
-position. JSON ``true``/``false`` are not numbers. Detection types must
+position. A key outside a line's format is an error, and JSON
+``true``/``false`` are not numbers. Detection types must
 not start with ``cand``: the engine reserves that prefix for the ids of
 provisional tracks.
 
@@ -116,9 +117,11 @@ def object_list(value, label: str) -> list[dict]:
     return value
 
 
-def check_keys(obj: dict, known: Iterable[str], prefix: str = "") -> None:
-    """Config objects take no key outside ``known``: a misspelt key is an
-    error, not a silent default."""
+def check_keys(obj: dict, known: dict, prefix: str = "") -> None:
+    """Objects in config files and streams take no key outside the keys of
+    ``known``: a misspelt key is an error, not a silent default."""
+    if obj.keys() <= known.keys():
+        return
     for key in obj:
         if key not in known:
             raise FieldError(f"{prefix}{key} is not a known key ({', '.join(known)})")
@@ -175,6 +178,16 @@ def read_config_file(path) -> dict:
     return raw
 
 
+# The keys of each object in a stream line, in the order errors list them.
+_FRAME_KEYS = dict.fromkeys(("frame", "camera", "detections", "actions"))
+_DETECTION_KEYS = dict.fromkeys(("id", "type", "score", "pos", "size"))
+_ACTION_KEYS = dict.fromkeys(("name", "args"))
+_PREDICTION_KEYS = dict.fromkeys(("frame", "box"))
+_BOX_KEYS = dict.fromkeys(("pos", "size"))
+_TRUTH_KEYS = dict.fromkeys(("frame", "camera", "objects", "snitch_label"))
+_TRUTH_OBJECT_KEYS = dict.fromkeys(("name", "type", "pos", "size"))
+
+
 def _dump_line(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -215,6 +228,7 @@ def read_detection_stream(path) -> list[FrameInput]:
 
 
 def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
+    check_keys(obj, _FRAME_KEYS)
     frame_index = integer(obj.get("frame"), "frame")
     if frames and frame_index <= frames[-1].frame_index:
         previous = frames[-1].frame_index
@@ -224,6 +238,7 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
     seen_ids: set[int] = set()
     for i, det in enumerate(object_list(obj.get("detections", []), "detections")):
         label = f"detections[{i}]"
+        check_keys(det, _DETECTION_KEYS, f"{label}.")
         pid = integer(det.get("id", i), f"{label}.id")
         if pid in seen_ids:
             raise FieldError(f"{label}.id {pid} repeats within the frame")
@@ -248,6 +263,7 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
     actions = []
     for i, act in enumerate(object_list(obj.get("actions", []), "actions")):
         label = f"actions[{i}]"
+        check_keys(act, _ACTION_KEYS, f"{label}.")
         if not isinstance(act.get("name"), str):
             raise FieldError(f"{label} must carry a string 'name'")
         args = act.get("args", [])
@@ -298,6 +314,7 @@ def read_predictions(path) -> list[Box | None]:
 
 
 def _prediction(obj: dict, done: list) -> Box | None:
+    check_keys(obj, _PREDICTION_KEYS)
     frame_index = obj.get("frame")
     if type(frame_index) is not int or frame_index != len(done):
         raise FieldError(f"frame must be {len(done)}, the line's 0-based position")
@@ -306,6 +323,7 @@ def _prediction(obj: dict, done: list) -> Box | None:
         return None
     if not isinstance(box, dict):
         raise FieldError("box must be null or an object")
+    check_keys(box, _BOX_KEYS, "box.")
     return (pair(box.get("pos"), "box.pos"), pair(box.get("size"), "box.size"))
 
 
@@ -339,6 +357,7 @@ def load_scenario(prefix) -> Scenario:
     def truth_line(obj: dict, done: list) -> tuple[str, tuple[tuple[str, str, Box], ...]]:
         if len(done) == len(inputs):
             raise FieldError(f"detections have only {len(inputs)} frames")
+        check_keys(obj, _TRUTH_KEYS)
         frame = inputs[len(done)]
         if type(obj.get("frame")) is not int or obj["frame"] != frame.frame_index:
             raise FieldError(f"frame must be {frame.frame_index}, as in the detection stream")
@@ -349,6 +368,7 @@ def load_scenario(prefix) -> Scenario:
         label = string(obj.get("snitch_label"), "snitch_label")
         entries = []
         for i, entry in enumerate(object_list(obj.get("objects", []), "objects")):
+            check_keys(entry, _TRUTH_OBJECT_KEYS, f"objects[{i}].")
             name, kind = entry.get("name"), entry.get("type")
             if not (isinstance(name, str) and isinstance(kind, str)):
                 raise FieldError(f"objects[{i}] needs a string name and type")
@@ -373,8 +393,11 @@ def load_scenario(prefix) -> Scenario:
 # Engine configuration
 
 
+_ACTION_RULE_KEYS = dict.fromkeys(("action", "effect", "child_arg", "parent_arg"))
+
+
 def _action_rule(entry: dict, label: str) -> ActionRule:
-    check_keys(entry, ("action", "effect", "child_arg", "parent_arg"), f"{label}.")
+    check_keys(entry, _ACTION_RULE_KEYS, f"{label}.")
     parent_arg = entry.get("parent_arg")
     return ActionRule(
         action_name=string(entry.get("action"), f"{label}.action"),

@@ -344,14 +344,6 @@ def _synthesize(script, objects, config):
     return trajectory, target_contained, actions, attach_log
 
 
-def _active_movers(script: Sequence[EventSpec], frame: int) -> set[str]:
-    return {
-        ev.subject
-        for ev in script
-        if ev.kind in MOTION_KINDS and ev.start <= frame <= ev.end
-    }
-
-
 def generate(config: ScenarioConfig) -> ScenarioRecord:
     """Build a complete scenario: deterministic in the seed, detections equal
     to ground truth when no noise is configured."""
@@ -374,78 +366,55 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     trajectory, target_contained, actions, attach_log = _synthesize(script, objects, config)
     camera = tuple(_camera_pose(config.camera, f) for f in range(config.frames))
 
-    names = [o.name for o in objects]
-    spec_by_name = {o.name: o for o in objects}
-    base_layer = {o.name: i for i, o in enumerate(objects)}
-    cone_tier = {
-        o.name: 500.0 + max(o.size) if o.object_type == "cone" else 0.0 for o in objects
+    # Draw order: later objects above earlier ones, cones above the rest and
+    # the moving object above everything.
+    rank = {
+        o.name: i + (500.0 + max(o.size) if o.object_type == "cone" else 0.0)
+        for i, o in enumerate(objects)
     }
     width, height = config.viewport
     snitch = next(o.name for o in objects if o.object_type == "snitch")
 
     visibility: list[frozenset[str]] = []
-    covered_flags: list[dict[str, bool]] = []
     clean: list[list[SimDetection]] = []
-    for f in range(config.frames):
-        movers = _active_movers(script, f)
-        layer = {
-            name: base_layer[name] + cone_tier[name] + (10000.0 if name in movers else 0.0)
-            for name in names
-        }
-        frame_positions = trajectory[f]
-        cam = camera[f]
-        visible: list[str] = []
-        covered: dict[str, bool] = {}
-        for name in names:
-            spec = spec_by_name[name]
-            own_box = (frame_positions[name], spec.size)
-            own_area = spec.size[0] * spec.size[1]
-            cover = 0.0
-            for other in names:
-                if other == name or layer[other] <= layer[name]:
-                    continue
-                ox, oy = box_intersection(
-                    own_box, (frame_positions[other], spec_by_name[other].size)
-                )
-                if ox > 0.0 and oy > 0.0:
-                    cover = max(cover, ox * oy / own_area)
-            covered[name] = cover > COVER_DROP_FRACTION
-            ix = frame_positions[name][0] - cam[0]
-            iy = frame_positions[name][1] - cam[1]
-            in_view = 0.0 <= ix < width and 0.0 <= iy < height
-            if name == snitch and not in_view:
-                raise SimulationError(
-                    f"the target object left the viewport at frame {f}; adjust the script"
-                )
-            if not covered[name] and in_view:
-                visible.append(name)
-        visibility.append(frozenset(visible))
-        covered_flags.append(covered)
-        clean.append(
-            [
-                SimDetection(
-                    source=name,
-                    object_type=spec_by_name[name].object_type,
-                    position=(
-                        frame_positions[name][0] - cam[0],
-                        frame_positions[name][1] - cam[1],
-                    ),
-                    size=spec_by_name[name].size,
-                )
-                for name in names
-                if name in visibility[f]
-            ]
-        )
-
     labels: list[str] = []
     for f in range(config.frames):
+        layer = dict(rank)
+        for ev in script:  # at most one mover per frame, as validated
+            if ev.kind in MOTION_KINDS and ev.start <= f <= ev.end:
+                layer[ev.subject] += 10000.0
+        positions = trajectory[f]
+        cx, cy = camera[f]
+        detected: list[SimDetection] = []
+        for spec in objects:
+            own_layer = layer[spec.name]
+            own_box = (positions[spec.name], spec.size)
+            own_area = spec.size[0] * spec.size[1]
+            cover = 0.0
+            for other in objects:
+                if layer[other.name] <= own_layer:  # also skips spec itself
+                    continue
+                ox, oy = box_intersection(own_box, (positions[other.name], other.size))
+                if ox > 0.0 and oy > 0.0:
+                    cover = max(cover, ox * oy / own_area)
+            covered = cover > COVER_DROP_FRACTION
+            image = (positions[spec.name][0] - cx, positions[spec.name][1] - cy)
+            in_view = 0.0 <= image[0] < width and 0.0 <= image[1] < height
+            if spec.name == snitch:
+                if not in_view:
+                    raise SimulationError(
+                        f"the target object left the viewport at frame {f}; adjust the script"
+                    )
+                target_covered = covered
+            if in_view and not covered:
+                detected.append(SimDetection(spec.name, spec.object_type, image, spec.size))
+        visibility.append(frozenset(d.source for d in detected))
+        clean.append(detected)
         if target_contained[f]:
-            moved = f > 0 and trajectory[f][snitch] != trajectory[f - 1][snitch]
+            moved = f > 0 and positions[snitch] != trajectory[f - 1][snitch]
             labels.append("carried" if moved else "contained")
-        elif covered_flags[f][snitch]:
-            labels.append("occluded")
         else:
-            labels.append("visible")
+            labels.append("occluded" if target_covered else "visible")
 
     noisy = corrupt(clean, config.noise, config.seed + 7919, config.viewport)
     detections = tuple(
@@ -873,8 +842,12 @@ def _seed(value, label: str) -> int:
     return value
 
 
+_OBJECT_KEYS = dict.fromkeys(("name", "type", "size", "start"))
+_EVENT_KEYS = dict.fromkeys(("kind", "subject", "start", "end", "dest", "target", "offset"))
+
+
 def _object_spec(entry: dict, label: str) -> ObjectSpec:
-    check_keys(entry, ("name", "type", "size", "start"), f"{label}.")
+    check_keys(entry, _OBJECT_KEYS, f"{label}.")
     return ObjectSpec(
         name=string(entry.get("name"), f"{label}.name"),
         object_type=string(entry.get("type"), f"{label}.type"),
@@ -884,7 +857,7 @@ def _object_spec(entry: dict, label: str) -> ObjectSpec:
 
 
 def _event_spec(entry: dict, label: str) -> EventSpec:
-    check_keys(entry, ("kind", "subject", "start", "end", "dest", "target", "offset"), f"{label}.")
+    check_keys(entry, _EVENT_KEYS, f"{label}.")
     dest, target = entry.get("dest"), entry.get("target")
     return EventSpec(
         kind=string(entry.get("kind"), f"{label}.kind"),
@@ -950,7 +923,7 @@ def scenario_config_from_json(raw: dict, default_seed: int = 0) -> ScenarioConfi
 
 
 # Template name -> builder(seed, frames, n_objects, noise). Only the grid
-# templates take the object count.
+# templates use the object count; ``build_template`` rejects one for the rest.
 TEMPLATES = {
     "static": lambda seed, frames, n, noise: _grid_config("static", seed, frames, n, noise),
     "camera": lambda seed, frames, n, noise: _grid_config("camera", seed, frames, n, noise),
@@ -964,10 +937,18 @@ def build_template(
     template: str,
     seed: int,
     frames: int = 300,
-    n_objects: int = 8,
+    n_objects: int | None = None,
     noise: NoiseConfig = NoiseConfig(),
 ) -> ScenarioConfig:
-    """Named scenario families used by the test suites and the CLI."""
+    """Named scenario families used by the test suites and the CLI.
+
+    Only the ``static`` and ``camera`` templates take ``n_objects`` (2..8,
+    8 when it is None); passing it to another template is an error.
+    """
     if template not in TEMPLATES:
         raise SimulationError(f"unknown template {template!r}")
+    if n_objects is None:
+        n_objects = 8
+    elif template not in ("static", "camera"):
+        raise SimulationError(f"the {template} template takes no object count")
     return TEMPLATES[template](_seed(seed, "seed"), frames, n_objects, noise)

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorkit.cli import main
 from anchorkit.core import ATTACHED, ActionRule, Anchor, Attributes, ConfigError, EngineConfig
@@ -15,8 +19,10 @@ from anchorkit.io_jsonl import (
     read_predictions,
     write_detection_stream,
     write_predictions,
+    write_truth_stream,
     write_world_stream,
 )
+from anchorkit.metrics import Scenario
 from anchorkit.simulate import TEMPLATES, NoiseConfig, build_template, generate
 from anchorkit.tracker import FrameInput
 from anchorkit.core import ActionEvent, Percept
@@ -165,6 +171,36 @@ class TestDetectionStreams:
         with pytest.raises(StreamFormatError, match=rf"bools\.jsonl:1: {field}"):
             read_detection_stream(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"frame": 0, "percepts": []},
+             r"percepts is not a known key \(frame, camera, detections, actions\)"),
+            ({"frame": 0, "detections": [{"id": 0, "type": "cone", "pos": [1, 2],
+                                          "size": [5, 5], "conf": 1.0}]},
+             r"detections\[0\]\.conf is not a known key \(id, type, score, pos, size\)"),
+            ({"frame": 0, "actions": [{"name": "contain", "arguments": ["cone0", "cube0"]}]},
+             r"actions\[0\]\.arguments is not a known key \(name, args\)"),
+        ],
+    )
+    def test_unknown_keys_name_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "keys.jsonl"
+        write_lines(path, [{"frame": 0}, dict(line, frame=1)])
+        with pytest.raises(StreamFormatError, match=rf"keys\.jsonl:2: {message}"):
+            read_detection_stream(path)
+
+    def test_track_rejects_a_misspelt_detections_key_and_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        snitch = {"id": 0, "type": "snitch", "pos": [50, 50], "size": [18, 18]}
+        write_lines(path, [{"frame": 0, "percepts": [snitch]}, {"frame": 1, "percepts": []}])
+        predictions = tmp_path / "p.jsonl"
+        assert main(["track", "--detections", str(path),
+                     "--predictions-out", str(predictions)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: percepts is not a known key (frame, camera, detections, actions)\n"
+        )
+        assert not predictions.exists()
+
     def test_lists_must_hold_objects(self, tmp_path):
         path = tmp_path / "lists.jsonl"
         write_lines(path, [{"frame": 0}, {"frame": 1, "actions": 5}])
@@ -222,6 +258,10 @@ class TestPredictions:
             ([{"frame": False, "box": None}], 1, "frame must be 0"),
             ([{"box": None}], 1, "frame must be 0"),
             ([{"frame": 0, "box": {"pos": [True, 1], "size": [2, 2]}}], 1, r"box\.pos"),
+            ([{"frame": 0, "box": None, "score": 1.0}], 1,
+             r"score is not a known key \(frame, box\)"),
+            ([{"frame": 0, "box": {"pos": [1, 2], "size": [2, 2], "conf": 1}}], 1,
+             r"box\.conf is not a known key \(pos, size\)"),
         ],
     )
     def test_malformed_lines_name_path_and_line(self, tmp_path, lines, bad_line, message):
@@ -271,6 +311,11 @@ class TestTruthFiles:
             (truth_line(2, camera=[0, 0]),
              r"camera must be \[1\.0, -2\.0\], as in the detection stream"),
             (truth_line(2, camera=[1, True]), "camera must be a pair"),
+            (truth_line(2, label="visible"),
+             r"label is not a known key \(frame, camera, objects, snitch_label\)"),
+            (truth_line(2, objects=[{"name": "s", "type": "snitch", "pos": [0, 0],
+                                     "size": [1, 1], "box": None}]),
+             r"objects\[0\]\.box is not a known key \(name, type, pos, size\)"),
         ],
     )
     def test_malformed_second_line_names_path_and_line(self, tmp_path, second, message):
@@ -305,6 +350,78 @@ class TestTruthFiles:
         write_predictions(preds, [None, None])
         assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
         assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "camera must be")
+
+
+# Finite floats, with the edges of the format drawn often: signed zeros,
+# subnormals and the largest magnitudes.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+finite = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+vec = st.tuples(finite, finite)
+positive = finite.map(abs).filter(lambda x: x > 0)
+score = st.sampled_from((-0.0, 0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0)
+word = st.text(max_size=6)
+detection_type = st.text(min_size=1, max_size=6).filter(lambda t: not t.startswith("cand"))
+
+
+@st.composite
+def detection_streams(draw):
+    frames = []
+    for index in sorted(draw(st.sets(st.integers(-10**9, 10**9), max_size=4))):
+        ids = draw(st.lists(st.integers(-2**63, 2**63), unique=True, max_size=4))
+        percepts = tuple(
+            Percept(pid, Attributes(draw(detection_type), draw(vec),
+                                    draw(st.tuples(positive, positive))), draw(score))
+            for pid in ids
+        )
+        actions = draw(st.lists(st.tuples(word, st.lists(word, min_size=1, max_size=3)),
+                                max_size=2))
+        frames.append(FrameInput(
+            index, percepts, draw(vec),
+            tuple(ActionEvent(name, tuple(args), index) for name, args in actions),
+        ))
+    return frames
+
+
+def round_trip(write, read, value, name="stream.jsonl"):
+    """``read`` of what ``write`` wrote, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        write(path, value)
+        return read(path)
+
+
+class TestRoundTrips:
+    """Writing then reading gives back the input. Compared by ``repr``,
+    because ``==`` takes -0.0 for 0.0."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(frames=detection_streams())
+    def test_detection_streams(self, frames):
+        got = round_trip(write_detection_stream, read_detection_stream, frames)
+        assert repr(got) == repr(frames)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(predictions=st.lists(st.none() | st.tuples(vec, vec), max_size=6))
+    def test_predictions(self, predictions):
+        got = round_trip(write_predictions, read_predictions, predictions)
+        assert repr(got) == repr(predictions)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_truth_streams(self, data):
+        inputs = tuple(data.draw(detection_streams()))
+        labels = tuple(data.draw(word) for _ in inputs)
+        truth_object = st.tuples(word, word, st.tuples(vec, vec))
+        objects = tuple(tuple(data.draw(st.lists(truth_object, max_size=3))) for _ in inputs)
+        scenario = Scenario(inputs, labels, objects)
+
+        def write(path, scenario):
+            write_detection_stream(f"{path}.detections.jsonl", scenario.inputs)
+            write_truth_stream(f"{path}.truth.jsonl", scenario)
+
+        got = round_trip(write, load_scenario, scenario, name="scn")
+        assert repr(got) == repr(scenario)
 
 
 class TestEngineConfigLoading:
@@ -531,10 +648,12 @@ class TestCli:
     ):
         out = tmp_path / "out"
         assert main(["simulate", *source, "--objects", "3", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: --objects applies to the static and camera templates, not to {named}\n"
+        message = (
+            f"--objects applies to the static and camera templates, not to {named}"
+            if "--scenario-config" in source
+            else f"{named} takes no object count"
         )
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_grid_templates_default_to_8_objects(self, tmp_path, capsys):

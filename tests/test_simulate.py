@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
+from test_golden import _crowd_scenario
 
 from anchorkit.core import EngineConfig
 from anchorkit.pipeline import run_engine_stream
@@ -17,6 +20,7 @@ from anchorkit.simulate import (
     corrupt,
     generate,
     h1_violations,
+    scenario_config_from_json,
 )
 
 
@@ -191,6 +195,11 @@ class TestScriptValidation:
         with pytest.raises(SimulationError):
             generate(ScenarioConfig(seed=0, frames=60, objects=objects, script=script))
 
+    @pytest.mark.parametrize("template", ["mixed", "carried", "random"])
+    def test_object_count_is_rejected_outside_the_grid_templates(self, template):
+        with pytest.raises(SimulationError, match=f"the {template} template takes no object count"):
+            build_template(template, 1, n_objects=3)
+
 
 class TestCorrupt:
     def frames_of(self, record):
@@ -292,3 +301,55 @@ class TestTrackingOnTemplates:
             truth = record.image_position(f, snitch)
             assert abs(pos[0] - truth[0]) <= 1e-9
             assert abs(pos[1] - truth[1]) <= 1e-9
+
+
+def record_digest(record) -> str:
+    """sha256 of a canonical JSON dump of what ``generate`` produced.
+    Visibility is sorted: a frozenset's iteration order depends on
+    ``PYTHONHASHSEED``."""
+    payload = {
+        "labels": record.labels,
+        "visibility": [sorted(names) for names in record.visibility],
+        "detections": [
+            [
+                [p.percept_id, p.attributes.object_type, p.attributes.position,
+                 p.attributes.size, p.detector_score]
+                for p in frame
+            ]
+            for frame in record.detections
+        ],
+        "actions": [[a.name, a.arguments, a.frame_index] for a in record.actions],
+        "attachments": record.attachments,
+        "truth": [sorted(positions.items()) for positions in record.truth],
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+NOISY = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0, flicker_burst_length=3)
+
+# Seed 1 of each template, clean and noisy (seed 1 of mixed, carried and
+# random labels frames with all four labels), and the 48-object panning scene
+# of the golden tests, which has a contain, a carry and a release.
+RECORD_DIGESTS = {
+    "static-clean": "e101384977ba320dffdea39f55ceb461f3d4c7431dc8784fafcdbb90cd87d6c2",
+    "static-noisy": "a752ed5ecda3ab9e121b0fede0832a19226640a752f1f7c84e8db2811eca1d19",
+    "camera-clean": "8b58d995131770c1667f5df1c85c8e20ee8c8775cadc8c056140b5a891d98c64",
+    "camera-noisy": "22e52af4d0c51ac85721efe0cf857510cf40fa1d39a3df59f617177e7da00067",
+    "mixed-clean": "ac93b745cbb17c4a68f5d072207692bd6eb8983929e462b77f10e206364ccd52",
+    "mixed-noisy": "9bd1d692516ff9a0caa9e04d09e13bb0c4239b2a03c2f3a53b911556a833bd02",
+    "carried-clean": "0036a96dac7a2169efe062785b1065e47295f69eb4acb08eb93e22072c538b56",
+    "carried-noisy": "1d44401d2110dceb76e2a80e417bfda981bc08174d7ded23487a42caedd7c5f1",
+    "random-clean": "d8af8058e7f78321def552b4b418c057c87614e731d26aae3f25b7a91f056fbc",
+    "random-noisy": "2d37bc6a0d2e662b704a40a30a63cb9e35ef9dc02a567e981373952c70836278",
+    "crowd": "b02b57a3c11962a366b3a92182a56b00c1ab2f5eb800e183355f6314e78e9cc7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_DIGESTS))
+def test_generated_records_are_pinned(case):
+    if case == "crowd":
+        config = scenario_config_from_json(_crowd_scenario(0))
+    else:
+        template, noise = case.split("-")
+        config = build_template(template, 1, noise=NOISY if noise == "noisy" else NoiseConfig())
+    assert record_digest(generate(config)) == RECORD_DIGESTS[case]
