@@ -328,8 +328,9 @@ def record_digest(record) -> str:
 NOISY = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0, flicker_burst_length=3)
 
 # Seed 1 of each template, clean and noisy (seed 1 of mixed, carried and
-# random labels frames with all four labels), and the 48-object panning scene
-# of the golden tests, which has a contain, a carry and a release.
+# random labels frames with all four labels), the 48-object panning scene
+# of the golden tests, which has a contain, a carry and a release, and a
+# random script on given objects.
 RECORD_DIGESTS = {
     "static-clean": "e101384977ba320dffdea39f55ceb461f3d4c7431dc8784fafcdbb90cd87d6c2",
     "static-noisy": "a752ed5ecda3ab9e121b0fede0832a19226640a752f1f7c84e8db2811eca1d19",
@@ -342,6 +343,7 @@ RECORD_DIGESTS = {
     "random-clean": "d8af8058e7f78321def552b4b418c057c87614e731d26aae3f25b7a91f056fbc",
     "random-noisy": "2d37bc6a0d2e662b704a40a30a63cb9e35ef9dc02a567e981373952c70836278",
     "crowd": "b02b57a3c11962a366b3a92182a56b00c1ab2f5eb800e183355f6314e78e9cc7",
+    "given-objects": "6755a2ed28e96205fd8b67bec7a2895c12ed528f0d9d9202ce564ebf5df65444",
 }
 
 
@@ -349,6 +351,10 @@ RECORD_DIGESTS = {
 def test_generated_records_are_pinned(case):
     if case == "crowd":
         config = scenario_config_from_json(_crowd_scenario(0))
+    elif case == "given-objects":
+        # The mixed scene's objects with no script: the random script is then
+        # drawn on objects that the random layout did not place.
+        config = dataclasses.replace(build_template("mixed", 1), script=None)
     else:
         template, noise = case.split("-")
         config = build_template(template, 1, noise=NOISY if noise == "noisy" else NoiseConfig())
