@@ -47,7 +47,6 @@ def _add_track(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--detections", required=True)
     p.add_argument("--tracker", choices=TRACKERS, default="aapa")
     p.add_argument("--config", default="benchmark", help="preset name or JSON path")
-    p.add_argument("--target", default="snitch")
     p.add_argument("--world-out", default=None, help="world stream output (aapa only)")
     p.add_argument("--predictions-out", default=None, help="target prediction stream output")
 
@@ -57,7 +56,6 @@ def _add_eval(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--scenario", required=True,
                    help="path prefix: expects <prefix>.detections.jsonl and <prefix>.truth.jsonl")
     p.add_argument("--predictions", required=True)
-    p.add_argument("--target", default="snitch")
     p.add_argument("--tracker-name", default="tracker", help="label for the output rows")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
@@ -67,7 +65,6 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("compare", help="run both trackers over a scenario directory")
     p.add_argument("--scenarios", required=True, help="directory of scenario file pairs")
     p.add_argument("--config", default="benchmark", help="preset name or JSON path")
-    p.add_argument("--target", default="snitch")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
 
@@ -131,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_track(args: argparse.Namespace) -> int:
     config = load_engine_config(args.config)
     frames = read_detection_stream(args.detections)
-    run = run_tracker(frames, args.tracker, config, args.target)
+    run = run_tracker(frames, args.tracker, config)
     if args.world_out:
         if args.tracker != "aapa":
             print("error: --world-out is only available with --tracker=aapa", file=sys.stderr)
@@ -165,7 +162,7 @@ def _emit_results(rows, excluded_total: int, args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     predictions = read_predictions(args.predictions)
-    scores = score_stream(predictions, scenario, args.target)
+    scores = score_stream(predictions, scenario)
     stats, excluded = aggregate([scores])
     rows = [(args.tracker_name, entry) for entry in stats]
     _emit_results(rows, excluded, args)
@@ -183,7 +180,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 1
     config = load_engine_config(args.config)
     scenarios = [load_scenario(prefix) for prefix in prefixes]
-    rows, excluded = score_scenarios(scenarios, config, args.target)
+    rows, excluded = score_scenarios(scenarios, config)
     _emit_results(rows, sum(excluded.values()), args)
     return 0
 

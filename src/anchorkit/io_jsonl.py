@@ -15,7 +15,8 @@ read by no command, so world streams are write-only):
                               "status": "visible", "parent": "cone1"?}]}
 
 Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
-"size"}], "snitch_label"}; prediction record: {"frame", "box": null |
+"size"}], "snitch_label"}, where the label is one of the subtasks
+``visible``, ``occluded``, ``contained`` or ``carried``; prediction record: {"frame", "box": null |
 {"pos", "size"}}. Every stream is ordered by strictly increasing frame
 index; line k of a truth file carries the frame and camera of line k of
 its detection stream, and a prediction's frame is its 0-based line
@@ -49,7 +50,7 @@ from .core import (
     Percept,
     Vec2,
 )
-from .metrics import Scenario
+from .metrics import SUBTASKS, Scenario
 from .tracker import FrameInput
 
 # Default thresholds suit clean synthetic detections; the assembly preset
@@ -365,7 +366,9 @@ def load_scenario(prefix) -> Scenario:
             raise FieldError(
                 f"camera must be {list(frame.camera_pose)}, as in the detection stream"
             )
-        label = string(obj.get("snitch_label"), "snitch_label")
+        label = obj.get("snitch_label")
+        if label not in SUBTASKS:
+            raise FieldError(f"snitch_label must be one of {', '.join(SUBTASKS)}")
         entries = []
         for i, entry in enumerate(object_list(obj.get("objects", []), "objects")):
             check_keys(entry, _TRUTH_OBJECT_KEYS, f"objects[{i}].")

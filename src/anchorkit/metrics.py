@@ -11,6 +11,8 @@ from typing import Mapping, Sequence
 from .core import Box, EngineError, box_corners, box_intersection
 from .tracker import FrameInput
 
+# The task: localise the one object of this type, each frame labelled with a subtask.
+TARGET_TYPE = "snitch"
 SUBTASKS = ("visible", "occluded", "contained", "carried")
 OVERALL = "overall"
 BUCKETS = SUBTASKS + (OVERALL,)
@@ -78,7 +80,7 @@ class VideoScores:
 
 
 def score_stream(
-    predictions: Sequence[Box | None], scenario: Scenario, target_type: str = "snitch"
+    predictions: Sequence[Box | None], scenario: Scenario, target_type: str = TARGET_TYPE
 ) -> VideoScores:
     """Score one video against its scenario.
 

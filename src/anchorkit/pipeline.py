@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .core import Anchor, Box, EngineConfig
 from .heuristic import HeuristicTracker
-from .metrics import BucketStats, Scenario, VideoScores, aggregate, score_stream
+from .metrics import TARGET_TYPE, BucketStats, Scenario, VideoScores, aggregate, score_stream
 from .tracker import ANCHORED, AnchoringEngine, FrameInput
 
 TRACKERS = ("aapa", "heuristic")
@@ -24,7 +24,7 @@ class TrackRun:
 def run_engine_stream(
     frames: Sequence[FrameInput],
     config: EngineConfig,
-    target_type: str = "snitch",
+    target_type: str = TARGET_TYPE,
     *,
     check_invariants: bool = False,
 ) -> TrackRun:
@@ -40,7 +40,7 @@ def run_engine_stream(
 
 
 def run_heuristic_stream(
-    frames: Sequence[FrameInput], target_type: str = "snitch"
+    frames: Sequence[FrameInput], target_type: str = TARGET_TYPE
 ) -> TrackRun:
     tracker = HeuristicTracker(target_type)
     predictions = [tracker.step(frame.percepts) for frame in frames]
@@ -51,24 +51,23 @@ def run_tracker(
     frames: Sequence[FrameInput],
     tracker: str,
     config: EngineConfig,
-    target_type: str = "snitch",
 ) -> TrackRun:
     if tracker == "aapa":
-        return run_engine_stream(frames, config, target_type)
+        return run_engine_stream(frames, config)
     if tracker == "heuristic":
-        return run_heuristic_stream(frames, target_type)
+        return run_heuristic_stream(frames)
     raise ValueError(f"unknown tracker {tracker!r} (expected one of {TRACKERS})")
 
 
 def score_scenarios(
-    scenarios: Sequence[Scenario], config: EngineConfig, target_type: str = "snitch"
+    scenarios: Sequence[Scenario], config: EngineConfig
 ) -> tuple[list[tuple[str, BucketStats]], dict[str, int]]:
     """Run both trackers over every scenario and aggregate per-subtask stats."""
     per_tracker: dict[str, list[VideoScores]] = {name: [] for name in TRACKERS}
     for scenario in scenarios:
         for name in TRACKERS:
-            run = run_tracker(scenario.inputs, name, config, target_type)
-            per_tracker[name].append(score_stream(run.predictions, scenario, target_type))
+            run = run_tracker(scenario.inputs, name, config)
+            per_tracker[name].append(score_stream(run.predictions, scenario))
     rows: list[tuple[str, BucketStats]] = []
     excluded: dict[str, int] = {}
     for name in TRACKERS:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, box_intersection
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
-from .metrics import Scenario
+from .metrics import TARGET_TYPE, Scenario
 from .tracker import FrameInput
 
 MOTION_KINDS = ("slide", "pick_place", "contain", "uncontain")
@@ -206,9 +206,9 @@ def _validate_objects(objects: Sequence[ObjectSpec]) -> None:
     names = [o.name for o in objects]
     if len(set(names)) != len(names):
         raise SimulationError("object names must be unique")
-    snitches = [o for o in objects if o.object_type == "snitch"]
-    if len(snitches) != 1:
-        raise SimulationError(f"exactly one snitch required, got {len(snitches)}")
+    targets = [o for o in objects if o.object_type == TARGET_TYPE]
+    if len(targets) != 1:
+        raise SimulationError(f"exactly one {TARGET_TYPE} required, got {len(targets)}")
     for spec in objects:
         if spec.size[0] <= 0 or spec.size[1] <= 0:
             raise SimulationError(f"object {spec.name!r} has non-positive size")
@@ -262,7 +262,7 @@ def _synthesize(script, objects, config):
     actions: list[ActionEvent] = []
     trajectory: list[dict[str, Vec2]] = []
     target_contained: list[bool] = []
-    snitch = next(o.name for o in objects if o.object_type == "snitch")
+    snitch = next(o.name for o in objects if o.object_type == TARGET_TYPE)
 
     origin: dict[int, Vec2] = {}
     goal: dict[int, Vec2] = {}
@@ -373,7 +373,7 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         for i, o in enumerate(objects)
     }
     width, height = config.viewport
-    snitch = next(o.name for o in objects if o.object_type == "snitch")
+    snitch = next(o.name for o in objects if o.object_type == TARGET_TYPE)
 
     visibility: list[frozenset[str]] = []
     clean: list[list[SimDetection]] = []
@@ -602,11 +602,10 @@ def _random_layout(rng: np.random.Generator, config: ScenarioConfig) -> tuple[Ob
     placed: list[tuple[Vec2, float]] = []
     for object_type, count in RANDOM_LAYOUT:
         for n in range(count):
-            base = DEFAULT_SIZES.get(object_type, 28.0)
             if object_type == "cone":
                 side = float(rng.uniform(36.0, 56.0))
             else:
-                side = float(base + rng.uniform(-4.0, 4.0))
+                side = float(DEFAULT_SIZES[object_type] + rng.uniform(-4.0, 4.0))
             size = (side, side)
             for _attempt in range(600):
                 x = float(rng.uniform(margin + side / 2, width - margin - side / 2))
@@ -632,40 +631,30 @@ def _random_script(
 
     position = {o.name: o.start for o in objects}
     half = {o.name: max(o.size) / 2 for o in objects}
-    contained_by: dict[str, str] = {}
-    busy_until = {o.name: 0 for o in objects}
     events: list[EventSpec] = []
     t = 12
+    # Each event ends before ``t`` moves past it, so every object is free at each ``t``.
     while t < config.frames - 100:
         kind = str(rng.choice(kinds, p=weights))
-        free = [o for o in objects if busy_until[o.name] <= t and o.name not in contained_by]
-        if not free:
-            t += 10
-            continue
         if kind == "rotate":
-            obj = free[int(rng.integers(len(free)))]
+            obj = objects[int(rng.integers(len(objects)))]
             events.append(EventSpec("rotate", obj.name, t, t + 4))
             t += 12
         elif kind in ("slide", "pick_place"):
-            obj = free[int(rng.integers(len(free)))]
+            obj = objects[int(rng.integers(len(objects)))]
             duration = int(rng.integers(18, 31)) if kind == "slide" else int(rng.integers(8, 13))
             dest = _pick_dest(
                 rng, position[obj.name], float(rng.uniform(40.0, 80.0)), half[obj.name], config.viewport
             )
             events.append(EventSpec(kind, obj.name, t, t + duration, dest=dest))
             position[obj.name] = dest
-            busy_until[obj.name] = t + duration + 4
             t += duration + 8
         else:  # contain combo: approach, dwell, carry, dwell, release
-            cones = [
-                o for o in free
-                if o.object_type == "cone" and o.name not in contained_by.values()
-            ]
+            cones = [o for o in objects if o.object_type == "cone"]
             targets = [
-                o for o in free
+                o for o in objects
                 if o.object_type != "cone" or o.size[0] < max(c.size[0] for c in cones) - 6
             ] if cones else []
-            targets = [t_ for t_ in targets if t_.name not in contained_by]
             feasible = []
             for cone in cones:
                 for tgt in targets:
@@ -682,8 +671,6 @@ def _random_script(
             carry_end = carry_start + 30
             release_start = carry_end + 8
             release_end = release_start + 20
-            if release_end >= config.frames - 5:
-                break
             carry_dest = _pick_dest(
                 rng, position[tgt.name], float(rng.uniform(40.0, 70.0)), half[cone.name], config.viewport
             )
@@ -698,8 +685,6 @@ def _random_script(
             )
             position[cone.name] = release_dest
             position[tgt.name] = carry_dest
-            busy_until[cone.name] = release_end + 4
-            busy_until[tgt.name] = release_end + 4
             t = release_end + 10
     return tuple(events)
 

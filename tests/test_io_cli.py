@@ -22,7 +22,7 @@ from anchorkit.io_jsonl import (
     write_truth_stream,
     write_world_stream,
 )
-from anchorkit.metrics import Scenario
+from anchorkit.metrics import SUBTASKS, Scenario
 from anchorkit.simulate import TEMPLATES, NoiseConfig, build_template, generate
 from anchorkit.tracker import FrameInput
 from anchorkit.core import ActionEvent, Percept
@@ -316,6 +316,8 @@ class TestTruthFiles:
             (truth_line(2, objects=[{"name": "s", "type": "snitch", "pos": [0, 0],
                                      "size": [1, 1], "box": None}]),
              r"objects\[0\]\.box is not a known key \(name, type, pos, size\)"),
+            (truth_line(2, snitch_label="visble"),
+             "snitch_label must be one of visible, occluded, contained, carried"),
         ],
     )
     def test_malformed_second_line_names_path_and_line(self, tmp_path, second, message):
@@ -350,6 +352,13 @@ class TestTruthFiles:
         write_predictions(preds, [None, None])
         assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
         assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "camera must be")
+
+    def test_eval_reports_an_unknown_label_and_exits_1(self, tmp_path, capsys):
+        prefix = self.write(tmp_path, [truth_line(0), truth_line(2, snitch_label="visble")])
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [None, None])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "snitch_label must be one of")
 
 
 # Finite floats, with the edges of the format drawn often: signed zeros,
@@ -411,7 +420,7 @@ class TestRoundTrips:
     @given(data=st.data())
     def test_truth_streams(self, data):
         inputs = tuple(data.draw(detection_streams()))
-        labels = tuple(data.draw(word) for _ in inputs)
+        labels = tuple(data.draw(st.sampled_from(SUBTASKS)) for _ in inputs)
         truth_object = st.tuples(word, word, st.tuples(vec, vec))
         objects = tuple(tuple(data.draw(st.lists(truth_object, max_size=3))) for _ in inputs)
         scenario = Scenario(inputs, labels, objects)
@@ -580,6 +589,21 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["track", "--tracker", "wrong"])
         assert excinfo.value.code != 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["track", "--detections", "d.jsonl"],
+            ["eval", "--scenario", "s", "--predictions", "p.jsonl"],
+            ["compare", "--scenarios", "dir"],
+        ],
+    )
+    def test_the_target_is_not_an_option(self, capsys, args):
+        # Predictions and scores are for metrics.TARGET_TYPE only.
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--target", "cube"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --target cube" in capsys.readouterr().err
 
     def test_simulate_from_scenario_config_file(self, tmp_path, capsys):
         scenario = {
