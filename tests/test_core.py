@@ -5,6 +5,7 @@ import pytest
 from anchorkit.core import (
     ATTACHED,
     VISIBLE,
+    ActionRule,
     Anchor,
     Attributes,
     ConfigError,
@@ -116,10 +117,13 @@ def test_bad_geometry_and_confidence_reported():
     bad_size = make_anchor("a0", size=(0.0, 10.0))
     bad_conf = make_anchor("b0", conf=1.5)
     bad_pos = make_anchor("c0", pos=(float("nan"), 0.0))
-    violations = validate_world_model(WorldModel(anchors=(bad_size, bad_conf, bad_pos)))
+    bad_status = make_anchor("d0", status="hidden")
+    model = WorldModel(anchors=(bad_size, bad_conf, bad_pos, bad_status))
+    violations = validate_world_model(model)
     assert any("size" in v for v in violations)
     assert any("confidence" in v for v in violations)
     assert any("position" in v for v in violations)
+    assert "d0: unknown status 'hidden'" in violations
 
 
 def test_candidates_cannot_be_attached():
@@ -145,6 +149,21 @@ def test_candidates_cannot_be_attached():
 def test_config_invariants_rejected(kwargs):
     with pytest.raises(ConfigError):
         EngineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "effect, child_arg, parent_arg, message",
+    [
+        ("move", 0, 1, "unknown action effect 'move'"),
+        ("detach", -1, None, "child_arg must be >= 0"),
+        ("attach", 0, None, "attach rule requires a parent_arg >= 0"),
+        ("attach", 0, -1, "attach rule requires a parent_arg >= 0"),
+        ("attach", 1, 1, "attach rule must use distinct argument slots"),
+    ],
+)
+def test_action_rule_invariants_rejected(effect, child_arg, parent_arg, message):
+    with pytest.raises(ConfigError, match=message):
+        ActionRule("stick", effect, child_arg, parent_arg)
 
 
 def test_config_defaults_are_valid():

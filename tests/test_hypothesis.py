@@ -15,6 +15,7 @@ from anchorkit.core import (
     Anchor,
     Attributes,
     EngineConfig,
+    EngineError,
     Percept,
     WorldModel,
     validate_world_model,
@@ -224,6 +225,21 @@ class TestApplyAction:
         with pytest.raises(ActionError, match="cycle"):
             apply_action(model, ActionEvent("stick", ("a0", "a0"), 1), config)
 
+    @pytest.mark.parametrize("grandparent", ["hand0", "hand9"])
+    def test_attach_below_an_attached_parent(self, grandparent):
+        # The cycle check walks case0's chain up to hand0, or stops at the
+        # dangling hand9.
+        config = EngineConfig(action_rules=(ActionRule("stick", "attach", 0, 1),))
+        model = WorldModel(anchors=(
+            make_anchor("hand0", pos=(150.0, 90.0)),
+            make_anchor("case0", pos=(150.0, 100.0), status=ATTACHED,
+                        parent=grandparent, offset=(0.0, 10.0)),
+            make_anchor("plug0"),
+        ))
+        out = apply_action(model, ActionEvent("stick", ("plug0", "case0"), 0), config)
+        plug = out.anchor_lookup()["plug0"]
+        assert (plug.parent, plug.parent_offset, plug.status) == ("case0", (-50.0, 0.0), ATTACHED)
+
     def test_reattach_replaces_parent_never_adds_one(self):
         config = EngineConfig(action_rules=(ActionRule("stick", "attach", 0, 1),))
         model = WorldModel(anchors=(
@@ -274,6 +290,14 @@ class TestPropagateAttachments:
         plug = out.anchor_lookup()["plug0"]
         assert case.attributes.position == (120.0, 100.0)
         assert plug.attributes.position == (115.0, 102.0)
+
+    def test_a_cycle_raises_an_engine_error(self):
+        model = WorldModel(anchors=(
+            make_anchor("a0", status=ATTACHED, parent="b0", offset=(1.0, 0.0)),
+            make_anchor("b0", status=ATTACHED, parent="a0", offset=(-1.0, 0.0)),
+        ))
+        with pytest.raises(EngineError, match="attachment cycle during propagation at 'a0'"):
+            propagate_attachments(model)
 
     def test_sizes_unchanged(self):
         model = WorldModel(anchors=(

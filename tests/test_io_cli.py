@@ -189,6 +189,31 @@ class TestDetectionStreams:
         with pytest.raises(StreamFormatError, match=rf"keys\.jsonl:2: {message}"):
             read_detection_stream(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"detections": [{"type": "", "pos": [1, 2], "size": [5, 5]}]},
+             r"detections\[0\]\.type must be a non-empty string"),
+            ({"detections": [{"pos": [1, 2], "size": [5, 5]}]},
+             r"detections\[0\]\.type must be a non-empty string"),
+            ({"actions": [{"args": ["cone0", "cube0"]}]},
+             r"actions\[0\] must carry a string 'name'"),
+            ({"actions": [{"name": 3, "args": ["cone0", "cube0"]}]},
+             r"actions\[0\] must carry a string 'name'"),
+            ({"actions": [{"name": "contain", "args": []}]},
+             r"actions\[0\]\.args must be a non-empty list of strings"),
+            ({"actions": [{"name": "contain"}]},
+             r"actions\[0\]\.args must be a non-empty list of strings"),
+            ({"actions": [{"name": "contain", "args": ["cone0", 1]}]},
+             r"actions\[0\]\.args must be a non-empty list of strings"),
+        ],
+    )
+    def test_malformed_fields_name_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "fields.jsonl"
+        write_lines(path, [{"frame": 0}, dict(line, frame=1)])
+        with pytest.raises(StreamFormatError, match=rf"fields\.jsonl:2: {message}"):
+            read_detection_stream(path)
+
     def test_track_rejects_a_misspelt_detections_key_and_exits_1(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"
         snitch = {"id": 0, "type": "snitch", "pos": [50, 50], "size": [18, 18]}
@@ -566,6 +591,20 @@ class TestCli:
         assert carried["aapa"]["mean_l2"] < carried["heuristic"]["mean_l2"]
         assert carried["aapa"]["mean_iou"] > carried["heuristic"]["mean_iou"]
 
+    def test_compare_reports_videos_whose_target_is_never_detected(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert main(["simulate", "--seed", "11", "--template", "carried", "--frames", "220",
+                     "--out", str(out), "--name", "seen"]) == 0
+        assert main(["simulate", "--seed", "11", "--template", "carried", "--frames", "220",
+                     "--miss-rate", "1", "--out", str(out), "--name", "unseen"]) == 0
+        capsys.readouterr()
+        json_out = tmp_path / "compare.json"
+        assert main(["compare", "--scenarios", str(out), "--out-json", str(json_out)]) == 0
+        printed = capsys.readouterr().out
+        excluded = json.loads(json_out.read_text(encoding="utf-8"))["excluded_videos"]
+        assert f"excluded videos (target never detected): {excluded}" in printed
+        assert excluded > 0
+
     def test_track_heuristic_writes_predictions_only(self, tmp_path, capsys):
         out = tmp_path / "scn"
         assert main(["simulate", "--seed", "1", "--template", "static",
@@ -576,6 +615,10 @@ class TestCli:
             "--tracker", "heuristic", "--predictions-out", str(preds),
         ]) == 0
         assert len(read_predictions(preds)) == 60
+        assert main([
+            "track", "--detections", f"{out / 'scenario'}.detections.jsonl",
+        ]) == 1
+        assert "nothing to write" in capsys.readouterr().err
         # world output is an engine-only feature
         assert main([
             "track", "--detections", f"{out / 'scenario'}.detections.jsonl",

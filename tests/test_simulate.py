@@ -7,7 +7,7 @@ import json
 import pytest
 from test_golden import _crowd_scenario
 
-from anchorkit.core import EngineConfig
+from anchorkit.core import EngineConfig, EngineError
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import (
     EventSpec,
@@ -194,6 +194,77 @@ class TestScriptValidation:
         script = (EventSpec("slide", "snitch0", 5, 25, dest=(-40.0, 120.0)),)
         with pytest.raises(SimulationError):
             generate(ScenarioConfig(seed=0, frames=60, objects=objects, script=script))
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ((EventSpec("jump", "cone0", 10, 20),), "event 0: unknown kind 'jump'"),
+            ((EventSpec("rotate", "ball9", 10, 20),), "event 0: unknown subject 'ball9'"),
+            ((EventSpec("rotate", "cone0", 10, 100),), r"event 0: window \[10, 100\] out of range"),
+            ((EventSpec("rotate", "cone0", 20, 10),), r"event 0: window \[20, 10\] out of range"),
+            ((EventSpec("slide", "cone0", 10, 20),), "event 0: slide requires a destination"),
+            ((EventSpec("pick_place", "cone0", 10, 20),),
+             "event 0: pick_place requires a destination"),
+            ((EventSpec("uncontain", "cone0", 10, 20, target="snitch0"),),
+             "event 0: uncontain requires a destination"),
+            ((EventSpec("contain", "cone0", 10, 20, target="cone0"),),
+             "event 0: subject cannot contain itself"),
+            ((EventSpec("contain", "cone0", 10, 99, target="snitch0"),),
+             "event 0: contain must finish before the last frame"),
+            # Rejected while the script runs.
+            ((EventSpec("contain", "cone0", 10, 20, target="snitch0"),
+              EventSpec("contain", "cube0", 30, 40, target="snitch0")),
+             "event 1: contain target 'snitch0' is already attached"),
+            ((EventSpec("contain", "cone0", 10, 20, target="snitch0"),
+              EventSpec("uncontain", "cube0", 30, 40, target="snitch0", dest=(300.0, 60.0))),
+             "event 1: uncontain without a matching containment of 'snitch0'"),
+            ((EventSpec("contain", "cone0", 10, 20, target="snitch0"),
+              EventSpec("slide", "snitch0", 30, 40, dest=(180.0, 60.0))),
+             "event 1: subject 'snitch0' cannot move while attached"),
+            # The second approach carries its own target along with it.
+            ((EventSpec("contain", "cone0", 10, 20, target="snitch0"),
+              EventSpec("contain", "cone0", 30, 40, target="snitch0", offset=(5.0, 0.0))),
+             "event 1: contain target 'snitch0' moved during the approach"),
+        ],
+    )
+    def test_rejected_scripts_name_the_event(self, script, message):
+        config = ScenarioConfig(seed=0, frames=100, objects=self.base_objects(), script=script)
+        with pytest.raises(SimulationError, match=message):
+            generate(config)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, script=(),
+                objects=objects + (ObjectSpec("cone0", "cube", (30.0, 30.0), (300.0, 60.0)),))),
+                "object names must be unique", id="duplicate-names"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, script=(),
+                objects=objects + (ObjectSpec("cube1", "cube", (30.0, 0.0), (300.0, 60.0)),))),
+                "object 'cube1' has non-positive size", id="zero-size"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(),
+                noise=NoiseConfig(jitter_sigma=-1.0))),
+                "jitter_sigma must be >= 0", id="negative-jitter"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=1, objects=objects, script=())),
+                "need at least two frames", id="one-frame"),
+            pytest.param(lambda objects: build_template("camera", 1, frames=259),
+                         "camera template needs at least 260 frames", id="short-camera"),
+            pytest.param(lambda objects: build_template("mixed", 1, frames=299),
+                         "mixed template needs at least 300 frames", id="short-mixed"),
+            pytest.param(lambda objects: build_template("carried", 1, frames=219),
+                         "carried template needs at least 220 frames", id="short-carried"),
+            pytest.param(lambda objects: build_template("orbit", 1),
+                         "unknown template 'orbit'", id="unknown-template"),
+            pytest.param(lambda objects: scenario_config_from_json([1, 2]),
+                         "scenario config must be a JSON object", id="config-not-an-object"),
+        ],
+    )
+    def test_rejected_setups(self, make, message):
+        with pytest.raises(EngineError, match=message):
+            make(self.base_objects())
 
     @pytest.mark.parametrize("template", ["mixed", "carried", "random"])
     def test_object_count_is_rejected_outside_the_grid_templates(self, template):

@@ -22,6 +22,7 @@ from anchorkit.core import (
     WorldModel,
     validate_world_model,
 )
+from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import NoiseConfig, build_template, generate
 from anchorkit.tracker import (
     ANCHORED,
@@ -103,6 +104,18 @@ def test_track_seen_after_the_model_frame_is_rejected():
     model = WorldModel(anchors=(lost,))
     with pytest.raises(EngineError, match="cube0: last seen at frame 0"):
         step(model, frame(0), CONFIG)
+
+
+def test_the_invariant_check_rejects_a_broken_model():
+    # A candidate that shares an anchor's id outlives the step.
+    model = WorldModel(
+        anchors=(make_anchor("cube0"),),
+        candidates=(make_anchor("cube0", pos=(300.0, 200.0)),),
+        frame_index=0,
+    )
+    step(model, frame(1), CONFIG)
+    with pytest.raises(EngineError, match="invariants broken: cube0: duplicate anchor_id"):
+        step(model, frame(1), CONFIG, check_invariants=True)
 
 
 # Shrinking a 100-frame scenario takes minutes; the failing seed is report enough.
@@ -374,3 +387,41 @@ def test_every_cycle_preserves_world_model_invariants():
             actions.append(ActionEvent("contain", ("cone0", "snitch0"), t))
         engine.step(frame(t, percepts, actions=actions))
         assert validate_world_model(engine.model) == []
+
+
+# Contain and uncontain ids drawn from the scene's names (live anchors once
+# anchored), ids of the same types that no anchor has, or that one had before
+# pruning, and candidate ids, which actions can never name.
+STRAY_IDS = ("cone0", "cone1", "cube0", "cylinder0", "snitch0", "sphere0",
+             "cone2", "cube1", "cube3", "sphere4", "cand0", "cand1", "cand7")
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+@given(
+    seed=st.integers(0, 2**16),
+    miss_rate=st.floats(0.0, 0.5),
+    ghost_rate=st.floats(0.0, 0.5),
+    jitter_sigma=st.floats(0.0, 3.0),
+    burst=st.integers(1, 6),
+    events=st.lists(
+        st.tuples(st.integers(0, 199), st.sampled_from(("contain", "uncontain")),
+                  st.sampled_from(STRAY_IDS), st.sampled_from(STRAY_IDS)),
+        max_size=12,
+    ),
+)
+def test_invariants_hold_under_noise_and_stray_actions(
+    seed, miss_rate, ghost_rate, jitter_sigma, burst, events
+):
+    noise = NoiseConfig(miss_rate=miss_rate, ghost_rate=ghost_rate,
+                        jitter_sigma=jitter_sigma, flicker_burst_length=burst)
+    frames = generate(build_template("random", seed, frames=200, noise=noise)).frame_inputs()
+    for t, name, parent, child in events:
+        extra = ActionEvent(name, (parent, child), t)
+        frames[t] = replace(frames[t], actions=frames[t].actions + (extra,))
+    run_engine_stream(frames, CONFIG, check_invariants=True)  # raises on a broken invariant
