@@ -15,12 +15,12 @@ read by no command, so world streams are write-only):
                               "status": "visible", "parent": "cone1"?}]}
 
 Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
-"size"}], "snitch_label"}, where the label is one of the subtasks
-``visible``, ``occluded``, ``contained`` or ``carried``; prediction record: {"frame", "box": null |
-{"pos", "size"}}. Every stream is ordered by strictly increasing frame
-index; line k of a truth file carries the frame and camera of line k of
-its detection stream, and a prediction's frame is its 0-based line
-position. A key outside a line's format is an error, and JSON
+"size"}], "snitch_label"}, the label being one of the subtasks ``visible``,
+``occluded``, ``contained`` or ``carried``; prediction record: {"frame",
+"box": null | {"pos", "size"}}. Every stream is ordered by strictly
+increasing frame index; line k of a truth file carries the frame and
+camera of line k of its detection stream, and a prediction's frame is its
+0-based line position. A key outside a line's format is an error, and JSON
 ``true``/``false`` are not numbers. Detection types must
 not start with ``cand``: the engine reserves that prefix for the ids of
 provisional tracks.
