@@ -181,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = load_engine_config(args.config)
     scenarios = [load_scenario(prefix) for prefix in prefixes]
     rows, excluded = score_scenarios(scenarios, config)
-    _emit_results(rows, sum(excluded.values()), args)
+    _emit_results(rows, excluded, args)
     return 0
 
 

@@ -31,8 +31,8 @@ def box_intersection(box_a: Box, box_b: Box) -> tuple[float, float]:
     """Width and height of the boxes' intersection; one is <= 0 when they share no area.
 
     The same corners as ``box_corners``, computed inline: this runs for every
-    anchor-percept pair in occlusion tests and for every object pair in the
-    simulator's cover test.
+    box pair that ``boxes_overlap`` and ``metrics.iou`` test. The simulator's
+    cover test repeats this arithmetic on arrays of all object pairs.
     """
     (ax, ay), (aw, ah) = box_a
     (bx, by), (bw, bh) = box_b

@@ -50,7 +50,7 @@ from .core import (
     Percept,
     Vec2,
 )
-from .metrics import SUBTASKS, Scenario
+from .metrics import SUBTASKS, TARGET_TYPE, Scenario
 from .tracker import FrameInput
 
 # Default thresholds suit clean synthetic detections; the assembly preset
@@ -370,6 +370,7 @@ def load_scenario(prefix) -> Scenario:
         if label not in SUBTASKS:
             raise FieldError(f"snitch_label must be one of {', '.join(SUBTASKS)}")
         entries = []
+        has_target = False
         for i, entry in enumerate(object_list(obj.get("objects", []), "objects")):
             check_keys(entry, _TRUTH_OBJECT_KEYS, f"objects[{i}].")
             name, kind = entry.get("name"), entry.get("type")
@@ -378,6 +379,9 @@ def load_scenario(prefix) -> Scenario:
             pos = pair(entry.get("pos"), f"objects[{i}].pos")
             size = pair(entry.get("size"), f"objects[{i}].size")
             entries.append((name, kind, (pos, size)))
+            has_target = has_target or kind == TARGET_TYPE
+        if not has_target:
+            raise FieldError(f"objects has no {TARGET_TYPE}")
         return label, tuple(entries)
 
     truth = _parse_lines(prefix + ".truth.jsonl", truth_line)

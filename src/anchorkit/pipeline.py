@@ -61,17 +61,21 @@ def run_tracker(
 
 def score_scenarios(
     scenarios: Sequence[Scenario], config: EngineConfig
-) -> tuple[list[tuple[str, BucketStats]], dict[str, int]]:
-    """Run both trackers over every scenario and aggregate per-subtask stats."""
+) -> tuple[list[tuple[str, BucketStats]], int]:
+    """Run both trackers over every scenario and aggregate per-subtask stats.
+
+    Also returns the number of scenarios whose target is never detected.
+    Every tracker excludes the same ones, because that depends only on the
+    detection stream.
+    """
     per_tracker: dict[str, list[VideoScores]] = {name: [] for name in TRACKERS}
     for scenario in scenarios:
         for name in TRACKERS:
             run = run_tracker(scenario.inputs, name, config)
             per_tracker[name].append(score_stream(run.predictions, scenario))
     rows: list[tuple[str, BucketStats]] = []
-    excluded: dict[str, int] = {}
+    excluded = 0
     for name in TRACKERS:
-        stats, skipped = aggregate(per_tracker[name])
+        stats, excluded = aggregate(per_tracker[name])
         rows.extend((name, entry) for entry in stats)
-        excluded[name] = skipped
     return rows, excluded

@@ -19,12 +19,12 @@ Conventions that keep noiseless scenes exactly trackable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, box_intersection
+from .core import ActionEvent, Attributes, EngineError, Percept, Vec2
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import TARGET_TYPE, Scenario
 from .tracker import FrameInput
@@ -43,6 +43,9 @@ DEFAULT_SIZES = {
 
 # An object more than this share covered by objects above it is not detected.
 COVER_DROP_FRACTION = 0.5
+# Object pairs per block of the cover test: its (frames, n, n) arrays stay
+# about 8 MB each, whatever the frame and object counts.
+_COVER_BLOCK_CELLS = 1 << 20
 # Object counts of the random layout, in placement order: the order feeds
 # the RNG, so changing it changes every random scenario.
 RANDOM_LAYOUT = (("cone", 2), ("cube", 1), ("cylinder", 1), ("snitch", 1), ("sphere", 1))
@@ -165,10 +168,10 @@ class ScenarioRecord:
             labels=self.labels,
             objects=tuple([
                 tuple([
-                    (o.name, o.object_type, (self.image_position(f, o.name), o.size))
+                    (o.name, o.object_type, ((at[o.name][0] - cx, at[o.name][1] - cy), o.size))
                     for o in self.objects
                 ])
-                for f in range(self.frames)
+                for at, (cx, cy) in zip(self.truth, self.camera)
             ]),
         )
 
@@ -344,6 +347,50 @@ def _synthesize(script, objects, config):
     return trajectory, target_contained, actions, attach_log
 
 
+def _render_flags(
+    centers: np.ndarray,
+    sizes: np.ndarray,
+    layers: np.ndarray,
+    camera: np.ndarray,
+    viewport: Vec2,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per frame and object (two ``(frames, n)`` boolean arrays): covered,
+    when an object on a strictly higher layer overlaps more than
+    ``COVER_DROP_FRACTION`` of its area by ``core.box_intersection``'s
+    arithmetic, and in view, when its image position lies in [0, W) x [0, H).
+
+    ``centers`` is ``(frames, n, 2)``, ``sizes`` ``(n, 2)``, ``layers``
+    ``(frames, n)`` and ``camera`` ``(frames, 2)``.
+    """
+    frames, n = layers.shape
+    half = sizes / 2.0
+    lo = centers - half
+    hi = centers + half
+    area = (sizes[:, 0] * sizes[:, 1])[:, None]
+    covered = np.empty((frames, n), dtype=bool)
+    step = max(1, _COVER_BLOCK_CELLS // (n * n))
+    for s in range(0, frames, step):
+        b = slice(s, s + step)
+        # [f, i, j]: the overlap of object i with object j, on each axis.
+        ox = np.minimum(hi[b, :, None, 0], hi[b, None, :, 0])
+        ox -= np.maximum(lo[b, :, None, 0], lo[b, None, :, 0])
+        oy = np.minimum(hi[b, :, None, 1], hi[b, None, :, 1])
+        oy -= np.maximum(lo[b, :, None, 1], lo[b, None, :, 1])
+        # Both overlaps are tested: two negative ones have a positive product.
+        hit = layers[b, None, :] > layers[b, :, None]
+        hit &= ox > 0.0
+        hit &= oy > 0.0
+        ox *= oy
+        ox /= area
+        hit &= ox > COVER_DROP_FRACTION
+        covered[b] = hit.any(axis=2)
+    image = centers - camera[:, None, :]
+    width, height = viewport
+    in_view = (0.0 <= image[..., 0]) & (image[..., 0] < width)
+    in_view &= (0.0 <= image[..., 1]) & (image[..., 1] < height)
+    return covered, in_view
+
+
 def generate(config: ScenarioConfig) -> ScenarioRecord:
     """Build a complete scenario: deterministic in the seed, detections equal
     to ground truth when no noise is configured."""
@@ -368,53 +415,49 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
 
     # Draw order: later objects above earlier ones, cones above the rest and
     # the moving object above everything.
-    rank = {
-        o.name: i + (500.0 + max(o.size) if o.object_type == "cone" else 0.0)
+    index = {o.name: i for i, o in enumerate(objects)}
+    layers = np.empty((config.frames, len(objects)))
+    layers[:] = [
+        i + (500.0 + max(o.size) if o.object_type == "cone" else 0.0)
         for i, o in enumerate(objects)
-    }
-    width, height = config.viewport
-    snitch = next(o.name for o in objects if o.object_type == TARGET_TYPE)
+    ]
+    for ev in script:  # at most one mover per frame, as validated
+        if ev.kind in MOTION_KINDS:
+            layers[ev.start : ev.end + 1, index[ev.subject]] += 10000.0
+    # _synthesize keeps each frame's positions in object order.
+    centers = np.array([list(positions.values()) for positions in trajectory], dtype=float)
+    sizes = np.array([o.size for o in objects], dtype=float)
+    covered, in_view = _render_flags(
+        centers, sizes, layers, np.array(camera, dtype=float), config.viewport
+    )
+
+    t = next(i for i, o in enumerate(objects) if o.object_type == TARGET_TYPE)
+    left = np.flatnonzero(~in_view[:, t])
+    if left.size:
+        raise SimulationError(
+            f"the target object left the viewport at frame {int(left[0])}; adjust the script"
+        )
+    snitch = objects[t].name
+    target_covered = covered[:, t].tolist()
 
     visibility: list[frozenset[str]] = []
     clean: list[list[SimDetection]] = []
     labels: list[str] = []
-    for f in range(config.frames):
-        layer = dict(rank)
-        for ev in script:  # at most one mover per frame, as validated
-            if ev.kind in MOTION_KINDS and ev.start <= f <= ev.end:
-                layer[ev.subject] += 10000.0
+    for f, shown in enumerate((in_view & ~covered).tolist()):
         positions = trajectory[f]
         cx, cy = camera[f]
-        detected: list[SimDetection] = []
-        for spec in objects:
-            own_layer = layer[spec.name]
-            own_box = (positions[spec.name], spec.size)
-            own_area = spec.size[0] * spec.size[1]
-            cover = 0.0
-            for other in objects:
-                if layer[other.name] <= own_layer:  # also skips spec itself
-                    continue
-                ox, oy = box_intersection(own_box, (positions[other.name], other.size))
-                if ox > 0.0 and oy > 0.0:
-                    cover = max(cover, ox * oy / own_area)
-            covered = cover > COVER_DROP_FRACTION
-            image = (positions[spec.name][0] - cx, positions[spec.name][1] - cy)
-            in_view = 0.0 <= image[0] < width and 0.0 <= image[1] < height
-            if spec.name == snitch:
-                if not in_view:
-                    raise SimulationError(
-                        f"the target object left the viewport at frame {f}; adjust the script"
-                    )
-                target_covered = covered
-            if in_view and not covered:
-                detected.append(SimDetection(spec.name, spec.object_type, image, spec.size))
-        visibility.append(frozenset(d.source for d in detected))
+        detected = [
+            SimDetection(o.name, o.object_type, (x - cx, y - cy), o.size)
+            for o, (x, y), show in zip(objects, positions.values(), shown)
+            if show
+        ]
+        visibility.append(frozenset([d.source for d in detected]))
         clean.append(detected)
         if target_contained[f]:
             moved = f > 0 and positions[snitch] != trajectory[f - 1][snitch]
             labels.append("carried" if moved else "contained")
         else:
-            labels.append("occluded" if target_covered else "visible")
+            labels.append("occluded" if target_covered[f] else "visible")
 
     noisy = corrupt(clean, config.noise, config.seed + 7919, config.viewport)
     detections = tuple(
@@ -507,16 +550,17 @@ def corrupt(
             if entry[1] > 0:
                 alive.append(entry)
         ghosts = alive
-        if noise.jitter_sigma > 0:
+        if noise.jitter_sigma > 0 and kept:
+            # One call draws the same numbers as a pair of calls per detection.
+            shifts = rng.normal(0.0, noise.jitter_sigma, size=(len(kept), 2)).tolist()
             kept = [
-                replace(
-                    det,
-                    position=(
-                        det.position[0] + float(rng.normal(0.0, noise.jitter_sigma)),
-                        det.position[1] + float(rng.normal(0.0, noise.jitter_sigma)),
-                    ),
+                SimDetection(
+                    det.source,
+                    det.object_type,
+                    (det.position[0] + dx, det.position[1] + dy),
+                    det.size,
                 )
-                for det in kept
+                for det, (dx, dy) in zip(kept, shifts)
             ]
         out.append(kept)
     return out

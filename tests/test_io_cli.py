@@ -22,7 +22,7 @@ from anchorkit.io_jsonl import (
     write_truth_stream,
     write_world_stream,
 )
-from anchorkit.metrics import SUBTASKS, Scenario
+from anchorkit.metrics import SUBTASKS, TARGET_TYPE, Scenario
 from anchorkit.simulate import TEMPLATES, NoiseConfig, build_template, generate
 from anchorkit.tracker import FrameInput
 from anchorkit.core import ActionEvent, Percept
@@ -343,6 +343,8 @@ class TestTruthFiles:
              r"objects\[0\]\.box is not a known key \(name, type, pos, size\)"),
             (truth_line(2, snitch_label="visble"),
              "snitch_label must be one of visible, occluded, contained, carried"),
+            (truth_line(2, objects=[{"name": "c", "type": "cone", "pos": [0, 0],
+                                     "size": [1, 1]}]), "objects has no snitch"),
         ],
     )
     def test_malformed_second_line_names_path_and_line(self, tmp_path, second, message):
@@ -384,6 +386,13 @@ class TestTruthFiles:
         write_predictions(preds, [None, None])
         assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
         assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "snitch_label must be one of")
+
+    def test_eval_reports_a_frame_without_the_target_and_exits_1(self, tmp_path, capsys):
+        prefix = self.write(tmp_path, [truth_line(0), truth_line(2, objects=[])])
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [None, None])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "objects has no snitch")
 
 
 # Finite floats, with the edges of the format drawn often: signed zeros,
@@ -447,7 +456,12 @@ class TestRoundTrips:
         inputs = tuple(data.draw(detection_streams()))
         labels = tuple(data.draw(st.sampled_from(SUBTASKS)) for _ in inputs)
         truth_object = st.tuples(word, word, st.tuples(vec, vec))
-        objects = tuple(tuple(data.draw(st.lists(truth_object, max_size=3))) for _ in inputs)
+        target = st.tuples(word, st.just(TARGET_TYPE), st.tuples(vec, vec))
+        # Each line holds the target, anywhere among up to two other objects.
+        truth_line = st.tuples(target, st.lists(truth_object, max_size=2)).flatmap(
+            lambda drawn: st.permutations([drawn[0], *drawn[1]])
+        )
+        objects = tuple(tuple(data.draw(truth_line)) for _ in inputs)
         scenario = Scenario(inputs, labels, objects)
 
         def write(path, scenario):
@@ -601,9 +615,9 @@ class TestCli:
         json_out = tmp_path / "compare.json"
         assert main(["compare", "--scenarios", str(out), "--out-json", str(json_out)]) == 0
         printed = capsys.readouterr().out
-        excluded = json.loads(json_out.read_text(encoding="utf-8"))["excluded_videos"]
-        assert f"excluded videos (target never detected): {excluded}" in printed
-        assert excluded > 0
+        # One video is excluded, once, although both trackers skip it.
+        assert json.loads(json_out.read_text(encoding="utf-8"))["excluded_videos"] == 1
+        assert "excluded videos (target never detected): 1\n" in printed
 
     def test_track_heuristic_writes_predictions_only(self, tmp_path, capsys):
         out = tmp_path / "scn"

@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_golden import _crowd_scenario
 
-from anchorkit.core import EngineConfig, EngineError
+from anchorkit import simulate
+from anchorkit.core import EngineConfig, EngineError, box_intersection
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import (
     EventSpec,
@@ -430,3 +434,102 @@ def test_generated_records_are_pinned(case):
         template, noise = case.split("-")
         config = build_template(template, 1, noise=NOISY if noise == "noisy" else NoiseConfig())
     assert record_digest(generate(config)) == RECORD_DIGESTS[case]
+
+
+def reference_flags(centers, sizes, layers, camera, viewport):
+    """The per-frame double loop that ``simulate._render_flags`` replaced,
+    on Python floats: (covered, in_view) per frame and object."""
+    width, height = viewport
+    covered, in_view = [], []
+    for positions, layer, (cx, cy) in zip(centers, layers, camera):
+        covered.append([])
+        in_view.append([])
+        for i, own_pos in enumerate(positions):
+            own_box = (own_pos, sizes[i])
+            own_area = sizes[i][0] * sizes[i][1]
+            cover = 0.0
+            for j, other_pos in enumerate(positions):
+                if layer[j] <= layer[i]:  # also skips object i itself
+                    continue
+                ox, oy = box_intersection(own_box, (other_pos, sizes[j]))
+                if ox > 0.0 and oy > 0.0:
+                    cover = max(cover, ox * oy / own_area)
+            covered[-1].append(cover > simulate.COVER_DROP_FRACTION)
+            image = (own_pos[0] - cx, own_pos[1] - cy)
+            in_view[-1].append(0.0 <= image[0] < width and 0.0 <= image[1] < height)
+    return covered, in_view
+
+
+def assert_flags_match_reference(centers, sizes, layers, camera, viewport):
+    covered, in_view = simulate._render_flags(
+        np.array(centers, dtype=float).reshape(len(layers), len(sizes), 2),
+        np.array(sizes, dtype=float).reshape(len(sizes), 2),
+        np.array(layers, dtype=float),
+        np.array(camera, dtype=float),
+        viewport,
+    )
+    assert (covered.tolist(), in_view.tolist()) == reference_flags(
+        centers, sizes, layers, camera, viewport
+    )
+
+
+# Coordinate regimes: a 10 px grid, where edges touch and image positions
+# land on the viewport's edges; free values; and huge values, where small
+# boxes' corners round together.
+_COORDINATES = {
+    "grid": st.integers(-5, 40).map(lambda k: k * 10.0),
+    "free": st.floats(-500.0, 500.0),
+    "far": st.integers(-4, 4).map(lambda k: 1e15 + k * 0.125),
+}
+_SIZES = st.sampled_from((1e-3, 10.0, 20.0, 40.0)) | st.floats(1e-3, 100.0)
+_LAYERS = st.sampled_from((0.0, 1.0, 2.0, 10001.0))
+
+
+@st.composite
+def layouts(draw):
+    coordinate = _COORDINATES[draw(st.sampled_from(sorted(_COORDINATES)))]
+    n = draw(st.integers(1, 6))
+    frames = draw(st.integers(1, 3))
+    sizes = [(draw(_SIZES), draw(_SIZES)) for _ in range(n)]
+    centers = [[(draw(coordinate), draw(coordinate)) for _ in range(n)] for _ in range(frames)]
+    layers = [[draw(_LAYERS) for _ in range(n)] for _ in range(frames)]
+    camera = [(draw(coordinate), draw(coordinate)) for _ in range(frames)]
+    return centers, sizes, layers, camera, (360.0, 240.0)
+
+
+def one_frame(centers, sizes, layers, camera=(0.0, 0.0)):
+    return [centers], sizes, [layers], [camera], (360.0, 240.0)
+
+
+class TestRenderFlags:
+    """The array cover and view tests against the loop they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(layout=layouts())
+    # Equal layers never cover each other.
+    @example(layout=one_frame([(50.0, 50.0), (50.0, 50.0)], [(20.0, 20.0)] * 2, [1.0, 1.0]))
+    # Touching edges: an overlap of exactly 0.
+    @example(layout=one_frame([(50.0, 50.0), (70.0, 50.0)], [(20.0, 20.0)] * 2, [0.0, 1.0]))
+    # A 20 x 20 box exactly half under a wider one is not covered.
+    @example(layout=one_frame([(50.0, 50.0), (70.0, 50.0)], [(20.0, 20.0), (40.0, 40.0)],
+                              [0.0, 1.0]))
+    # Two negative overlaps have a positive product.
+    @example(layout=one_frame([(50.0, 50.0), (150.0, 150.0)], [(1.0, 1.0)] * 2, [0.0, 1.0]))
+    # Image positions on each edge of the viewport: [0, 360) x [0, 240).
+    @example(layout=one_frame([(0.0, 0.0), (360.0, 100.0), (100.0, 240.0), (359.5, 239.5)],
+                              [(10.0, 10.0)] * 4, [0.0] * 4))
+    # Small boxes far from the origin, and image positions off the viewport.
+    @example(layout=one_frame([(1e15, 1e15), (1e15 + 0.125, 1e15)], [(1e-3, 1e-3)] * 2,
+                              [0.0, 1.0], camera=(1e15, 1e15 - 240.0)))
+    def test_agrees_with_the_per_frame_loop(self, layout):
+        assert_flags_match_reference(*layout)
+
+    def test_agrees_across_blocks(self):
+        n, frames = 48, 460
+        assert simulate._COVER_BLOCK_CELLS // (n * n) < frames  # more than one block
+        rng = np.random.default_rng(0)
+        centers = np.round(rng.uniform(0.0, 200.0, (frames, n, 2)), 1).tolist()
+        sizes = rng.choice([10.0, 20.0, 30.0, 40.0], (n, 2)).tolist()
+        layers = rng.integers(0, 4, (frames, n)).astype(float).tolist()
+        camera = rng.uniform(-20.0, 20.0, (frames, 2)).tolist()
+        assert_flags_match_reference(centers, sizes, layers, camera, (180.0, 180.0))
