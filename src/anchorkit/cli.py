@@ -70,6 +70,9 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
+        return 1
     if args.objects is not None and args.scenario_config:
         print("error: --objects applies to the static and camera templates, "
               "not to a scenario config file", file=sys.stderr)

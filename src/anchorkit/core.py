@@ -50,6 +50,44 @@ class ConfigError(EngineError):
     """Invalid engine configuration."""
 
 
+def ancestors(parent_of: Mapping[str, str], name: str) -> list[str]:
+    """``name``'s ancestors in the attachment graph, nearest first.
+
+    The walk stops at a name with no entry in ``parent_of`` (so a map of
+    resolvable parents only ends a chain at its last resolvable link) and
+    raises ``EngineError`` naming the loop when it returns to a name. It is
+    the one walk of parent chains in the package.
+    """
+    chain: list[str] = []
+    seen = {name}
+    current = name
+    while current in parent_of:
+        current = parent_of[current]
+        if current in seen:
+            loop = " -> ".join([name, *chain, current])
+            raise EngineError(f"attachment cycle via {loop}")
+        chain.append(current)
+        seen.add(current)
+    return chain
+
+
+def chain_position(
+    name: str,
+    parent_of: Mapping[str, str],
+    offset_of: Mapping[str, Vec2],
+    position_of: Mapping[str, Vec2],
+) -> Vec2:
+    """Where ``name`` rides its attachment chain: the root's position plus
+    the frozen offsets summed from the root down, ``((root + o_k) + ...) +
+    o_name``, so a child lands exactly where its parent's own sum puts it."""
+    links = [name, *ancestors(parent_of, name)]
+    x, y = position_of[links.pop()]
+    for link in reversed(links):
+        ox, oy = offset_of[link]
+        x, y = x + ox, y + oy
+    return x, y
+
+
 # Attributes, Percept and Anchor (and the tracker's HypothesisOutcome) are
 # immutable named tuples, not frozen dataclasses: a crowded frame builds
 # hundreds of them, and a named tuple is built in well under half the time.
@@ -237,7 +275,8 @@ def validate_world_model(model: WorldModel) -> list[str]:
     Checked: unique ids, confidence range, status vocabulary, positive sizes,
     finite positions, the parent/status/offset consistency triple, parent
     references resolving to existing anchors, and acyclicity of the
-    attachment graph (a self-parent counts as a cycle).
+    attachment graph: each anchor whose ``ancestors`` walk closes a cycle,
+    a self-parent included, is reported once.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -259,23 +298,11 @@ def validate_world_model(model: WorldModel) -> list[str]:
         if anchor.parent is not None and anchor.parent not in by_id:
             violations.append(f"{anchor.anchor_id}: parent {anchor.parent!r} does not resolve")
 
-    # Cycle check: walk parent chains; revisiting a node on the current walk
-    # (including the start) means a cycle.
-    flagged: set[str] = set()
-    for anchor in model.anchors:
-        trail = [anchor.anchor_id]
-        on_trail = {anchor.anchor_id}
-        current = anchor
-        while current.parent is not None and current.parent in by_id:
-            if current.parent in on_trail:
-                if anchor.anchor_id not in flagged:
-                    violations.append(
-                        f"{anchor.anchor_id}: attachment cycle via {' -> '.join(trail + [current.parent])}"
-                    )
-                    flagged.add(anchor.anchor_id)
-                break
-            current = by_id[current.parent]
-            trail.append(current.anchor_id)
-            on_trail.add(current.anchor_id)
+    parent_of = {aid: a.parent for aid, a in by_id.items() if a.parent in by_id}
+    for aid in parent_of:
+        try:
+            ancestors(parent_of, aid)
+        except EngineError as exc:
+            violations.append(f"{aid}: {exc}")
 
     return violations

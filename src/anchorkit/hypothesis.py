@@ -18,8 +18,10 @@ from .core import (
     EngineError,
     Percept,
     WorldModel,
+    ancestors,
     box_corners,
     box_intersection,
+    chain_position,
 )
 
 
@@ -112,7 +114,9 @@ def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) ->
 
     Unknown action names are a no-op. Attaching freezes the child's offset to
     its parent at the current estimates and never creates a second parent or
-    a cycle; violations raise ``ActionError``.
+    a cycle: an attach whose parent is the child or has it among its
+    ``core.ancestors`` raises ``ActionError``, as do unknown anchors and
+    missing arguments. A cycle already in the model raises ``EngineError``.
     """
     rule = next(
         (r for r in config.action_rules if r.action_name == event.name), None
@@ -143,20 +147,12 @@ def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) ->
     parent_id = args[rule.parent_arg]
     if parent_id not in by_id:
         raise ActionError(f"action {event.name!r}: unknown anchor {parent_id!r}")
-    if parent_id == child_id:
-        raise ActionError(f"action {event.name!r}: attachment cycle at {child_id!r}")
-
-    # Reject attaches whose parent chain already descends from the child.
-    cursor = by_id[parent_id]
-    while cursor.parent is not None:
-        if cursor.parent == child_id:
-            raise ActionError(
-                f"action {event.name!r}: attachment cycle "
-                f"{child_id!r} -> {parent_id!r} -> ... -> {child_id!r}"
-            )
-        if cursor.parent not in by_id:
-            break
-        cursor = by_id[cursor.parent]
+    parent_of = {aid: a.parent for aid, a in by_id.items() if a.parent in by_id}
+    if parent_id == child_id or child_id in ancestors(parent_of, parent_id):
+        raise ActionError(
+            f"action {event.name!r}: attaching {child_id!r} below {parent_id!r} "
+            "would close an attachment cycle"
+        )
 
     parent = by_id[parent_id]
     cx, cy = child.attributes.position
@@ -172,33 +168,24 @@ def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) ->
 def propagate_attachments(model: WorldModel) -> WorldModel:
     """Recompute every attached anchor's position as parent + frozen offset.
 
-    Parents settle before children (chains of any depth), sizes are left at
-    the last detected values, and running the pass twice changes nothing.
+    Each follows its ``core.ancestors`` chain, summed root first by
+    ``core.chain_position``; an anchor whose parent does not resolve keeps its
+    position. Sizes stay at the last detected values, running the pass twice
+    changes nothing, and a cycle raises ``EngineError``.
     """
     by_id = model.anchor_lookup()
-    resolved: dict[str, tuple[float, float]] = {}
-
-    def final_position(aid: str, trail: frozenset[str]) -> tuple[float, float]:
-        if aid in resolved:
-            return resolved[aid]
-        anchor = by_id[aid]
-        if anchor.parent is None or anchor.parent not in by_id:
-            position = anchor.attributes.position
-        else:
-            if aid in trail:
-                raise EngineError(f"attachment cycle during propagation at {aid!r}")
-            px, py = final_position(anchor.parent, trail | {aid})
-            ox, oy = anchor.parent_offset
-            position = (px + ox, py + oy)
-        resolved[aid] = position
-        return position
-
+    attached = [a for a in model.anchors if a.parent in by_id]
+    if not attached:
+        return model
+    parent_of = {a.anchor_id: a.parent for a in attached}
+    offset_of = {a.anchor_id: a.parent_offset for a in attached}
+    position_of = {parent: by_id[parent].attributes.position for parent in parent_of.values()}
     updated = []
     for anchor in model.anchors:
-        if anchor.parent is None:
+        if anchor.anchor_id not in parent_of:
             updated.append(anchor)
             continue
-        position = final_position(anchor.anchor_id, frozenset())
+        position = chain_position(anchor.anchor_id, parent_of, offset_of, position_of)
         if position == anchor.attributes.position:
             updated.append(anchor)
         else:

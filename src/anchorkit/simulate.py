@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionEvent, Attributes, EngineError, Percept, Vec2
+from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, ancestors, chain_position
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import TARGET_TYPE, Scenario
 from .tracker import FrameInput
@@ -194,15 +194,35 @@ def _camera_pose(waypoints: Sequence[tuple[int, Vec2]], frame: int) -> Vec2:
     return waypoints[-1][1]
 
 
+def _finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def _validate_noise(noise: NoiseConfig) -> None:
     for name in ("miss_rate", "ghost_rate"):
         rate = getattr(noise, name)
         if not (0.0 <= rate <= 1.0):
             raise SimulationError(f"{name} must lie in [0, 1], got {rate}")
-    if noise.jitter_sigma < 0:
-        raise SimulationError("jitter_sigma must be >= 0")
+    if not (0 <= noise.jitter_sigma < math.inf):
+        raise SimulationError(f"jitter_sigma must be >= 0 and finite, got {noise.jitter_sigma}")
     if noise.flicker_burst_length < 1:
         raise SimulationError("flicker_burst_length must be >= 1")
+    if not _finite(noise.ghost_clearance):
+        raise SimulationError(f"ghost_clearance must be finite, got {noise.ghost_clearance}")
+
+
+def _validate_view(config: ScenarioConfig) -> None:
+    if not _finite(*config.viewport):
+        raise SimulationError(f"viewport must be finite, got {config.viewport}")
+    if not config.camera:
+        raise SimulationError("camera needs at least one waypoint")
+    for i, (frame, pose) in enumerate(config.camera):
+        if not _finite(*pose):
+            raise SimulationError(f"camera waypoint {i}: pose must be finite, got {pose}")
+        if i and frame <= config.camera[i - 1][0]:
+            raise SimulationError(
+                f"camera waypoint {i}: frame {frame} must come after {config.camera[i - 1][0]}"
+            )
 
 
 def _validate_objects(objects: Sequence[ObjectSpec]) -> None:
@@ -213,6 +233,8 @@ def _validate_objects(objects: Sequence[ObjectSpec]) -> None:
     if len(targets) != 1:
         raise SimulationError(f"exactly one {TARGET_TYPE} required, got {len(targets)}")
     for spec in objects:
+        if not _finite(*spec.size, *spec.start):
+            raise SimulationError(f"object {spec.name!r} has a non-finite size or start")
         if spec.size[0] <= 0 or spec.size[1] <= 0:
             raise SimulationError(f"object {spec.name!r} has non-positive size")
 
@@ -231,6 +253,10 @@ def _validate_script(
             raise SimulationError(f"event {i}: window [{ev.start}, {ev.end}] out of range")
         if ev.kind in ("slide", "pick_place", "uncontain") and ev.dest is None:
             raise SimulationError(f"event {i}: {ev.kind} requires a destination")
+        for field in ("dest", "offset"):
+            value = getattr(ev, field)
+            if value is not None and not _finite(*value):
+                raise SimulationError(f"event {i}: {field} must be finite, got {value}")
         if ev.kind in ("contain", "uncontain"):
             if ev.target is None or ev.target not in by_name:
                 raise SimulationError(f"event {i}: unknown target {ev.target!r}")
@@ -325,19 +351,10 @@ def _synthesize(script, objects, config):
                     )
 
         if attached:
-            settled: set[str] = set()
-
-            def settle(name: str) -> None:
-                if name in settled:
-                    return
-                parent, off = attached[name]
-                if parent in attached:
-                    settle(parent)
-                position[name] = (position[parent][0] + off[0], position[parent][1] + off[1])
-                settled.add(name)
-
-            for child in list(attached):
-                settle(child)
+            parent_of = {child: parent for child, (parent, _off) in attached.items()}
+            offset_of = {child: off for child, (_parent, off) in attached.items()}
+            for child in attached:  # roots are never attached, so never move here
+                position[child] = chain_position(child, parent_of, offset_of, position)
 
         trajectory.append(dict(position))
         target_contained.append(snitch in attached)
@@ -397,6 +414,7 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     _validate_noise(config.noise)
     if config.frames < 2:
         raise SimulationError("need at least two frames")
+    _validate_view(config)
 
     rng = np.random.default_rng(_seed(config.seed, "seed"))
     objects = config.objects
@@ -584,16 +602,8 @@ def h1_violations(record: ScenarioRecord) -> list[str]:
                 continue
             if name in record.visibility[f] and name in record.visibility[f - 1]:
                 continue
-            root = name
-            hops = 0
-            while root in att and hops <= len(names):
-                root = att[root]
-                hops += 1
-            if (
-                root != name
-                and root in record.visibility[f]
-                and root in record.visibility[f - 1]
-            ):
+            chain = ancestors(att, name)
+            if chain and all(chain[-1] in record.visibility[g] for g in (f - 1, f)):
                 continue
             out.append(f"{name} moved at frame {f} while unobserved")
     return out

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorkit.core import (
     ATTACHED,
@@ -10,8 +12,10 @@ from anchorkit.core import (
     Attributes,
     ConfigError,
     EngineConfig,
+    EngineError,
     Percept,
     WorldModel,
+    ancestors,
     validate_world_model,
 )
 from anchorkit.tracker import HypothesisOutcome
@@ -92,6 +96,74 @@ def test_two_node_cycle_detected():
     b = make_anchor("case1", status=ATTACHED, parent="case0", offset=(-1.0, 0.0))
     violations = validate_world_model(WorldModel(anchors=(a, b)))
     assert any("cycle" in v for v in violations)
+
+
+def test_cycle_reports_name_each_anchor_once_beside_a_dangling_parent():
+    lead = make_anchor("c0", status=ATTACHED, parent="a0", offset=(0.0, 1.0))
+    a = make_anchor("a0", status=ATTACHED, parent="b0", offset=(1.0, 0.0))
+    b = make_anchor("b0", status=ATTACHED, parent="a0", offset=(-1.0, 0.0))
+    stray = make_anchor("d0", status=ATTACHED, parent="e9", offset=(0.0, 0.0))
+    assert validate_world_model(WorldModel(anchors=(lead, a, b, stray))) == [
+        "d0: parent 'e9' does not resolve",
+        "c0: attachment cycle via c0 -> a0 -> b0 -> a0",
+        "a0: attachment cycle via a0 -> b0 -> a0",
+        "b0: attachment cycle via b0 -> a0 -> b0",
+    ]
+
+
+NAMES = [f"n{i}" for i in range(8)]
+DANGLING = ["x0", "x1"]
+
+
+def reference_ancestors(parent_of, name):
+    """Brute force: apply ``parent_of`` up to len(parent_of) + 1 times. A walk
+    still inside the map after that many steps has, by pigeonhole, revisited
+    a name, so it is a cycle (None)."""
+    chain = []
+    current = name
+    for _ in range(len(parent_of) + 1):
+        if current not in parent_of:
+            return chain
+        current = parent_of[current]
+        chain.append(current)
+    return None
+
+
+@st.composite
+def forests(draw):
+    """Each name's parent comes earlier in NAMES, dangles, or is absent."""
+    parent_of = {}
+    for i, name in enumerate(NAMES):
+        parent = draw(st.sampled_from([None, *DANGLING, *NAMES[:i]]))
+        if parent is not None:
+            parent_of[name] = parent
+    return parent_of
+
+
+# Any map over the names: forests, dangling parents, self-parents and cycles.
+parent_maps = st.one_of(
+    forests(),
+    st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES + DANGLING), max_size=8),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(parent_of=parent_maps, name=st.sampled_from(NAMES + DANGLING))
+@example(parent_of={"n0": "n1", "n1": "n0"}, name="n2")
+@example(parent_of={"n0": "n0"}, name="n0")
+@example(parent_of={"n2": "n0", "n0": "n1", "n1": "n0"}, name="n2")
+def test_ancestors_matches_a_brute_force_walk(parent_of, name):
+    expected = reference_ancestors(parent_of, name)
+    if expected is not None:
+        assert ancestors(parent_of, name) == expected
+        return
+    with pytest.raises(EngineError, match="^attachment cycle via ") as raised:
+        ancestors(parent_of, name)
+    loop = str(raised.value).removeprefix("attachment cycle via ").split(" -> ")
+    # The walk from ``name`` up to the first name it reaches twice.
+    assert loop[0] == name
+    assert all(parent_of[a] == b for a, b in zip(loop, loop[1:]))
+    assert len(set(loop)) == len(loop) - 1 and loop[-1] in loop[:-1]
 
 
 def test_duplicate_anchor_ids_flagged():

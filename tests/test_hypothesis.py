@@ -225,6 +225,15 @@ class TestApplyAction:
         with pytest.raises(ActionError, match="cycle"):
             apply_action(model, ActionEvent("stick", ("a0", "a0"), 1), config)
 
+    def test_a_cycle_already_in_the_model_raises_instead_of_hanging(self):
+        model = WorldModel(anchors=(
+            make_anchor("cube0", status=ATTACHED, parent="cube1", offset=(1.0, 0.0)),
+            make_anchor("cube1", status=ATTACHED, parent="cube0", offset=(-1.0, 0.0)),
+            make_anchor("cube2"),
+        ))
+        with pytest.raises(EngineError, match="attachment cycle via cube0 -> cube1 -> cube0"):
+            apply_action(model, ActionEvent("contain", ("cube0", "cube2"), 0), CONFIG)
+
     @pytest.mark.parametrize("grandparent", ["hand0", "hand9"])
     def test_attach_below_an_attached_parent(self, grandparent):
         # The cycle check walks case0's chain up to hand0, or stops at the
@@ -296,7 +305,7 @@ class TestPropagateAttachments:
             make_anchor("a0", status=ATTACHED, parent="b0", offset=(1.0, 0.0)),
             make_anchor("b0", status=ATTACHED, parent="a0", offset=(-1.0, 0.0)),
         ))
-        with pytest.raises(EngineError, match="attachment cycle during propagation at 'a0'"):
+        with pytest.raises(EngineError, match="attachment cycle via a0 -> b0 -> a0"):
             propagate_attachments(model)
 
     def test_sizes_unchanged(self):
@@ -307,3 +316,70 @@ class TestPropagateAttachments:
         ))
         out = propagate_attachments(model)
         assert out.anchor_lookup()["snitch0"].attributes.size == (18.0, 18.0)
+
+
+def reference_propagate(model):
+    """The memoised recursive resolver that ``propagate_attachments`` used
+    before it walked chains with ``core.ancestors``, kept as the reference."""
+    by_id = model.anchor_lookup()
+    resolved = {}
+
+    def final_position(aid, trail):
+        if aid in resolved:
+            return resolved[aid]
+        anchor = by_id[aid]
+        if anchor.parent is None or anchor.parent not in by_id:
+            position = anchor.attributes.position
+        else:
+            if aid in trail:
+                raise EngineError(f"attachment cycle during propagation at {aid!r}")
+            px, py = final_position(anchor.parent, trail | {aid})
+            ox, oy = anchor.parent_offset
+            position = (px + ox, py + oy)
+        resolved[aid] = position
+        return position
+
+    return [
+        a.attributes.position if a.parent is None else final_position(a.anchor_id, frozenset())
+        for a in model.anchors
+    ]
+
+
+@st.composite
+def attachment_models(draw):
+    """Up to 8 anchors in any order, each free, below an earlier one or below
+    an id that does not resolve. With ``close`` set, the root of one
+    attached anchor's chain is hung below that anchor, closing a cycle."""
+    coords = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e17, 1e17))
+    anchors = {}
+    for i in range(draw(st.integers(1, 8))):
+        parent = draw(st.sampled_from([None, "cube9", *anchors]))
+        pos = (draw(coords), draw(coords))
+        if parent is None:
+            anchors[f"cube{i}"] = make_anchor(f"cube{i}", pos=pos)
+        else:
+            anchors[f"cube{i}"] = make_anchor(f"cube{i}", pos=pos, status=ATTACHED,
+                                              parent=parent, offset=(draw(coords), draw(coords)))
+    attached = [aid for aid, a in anchors.items() if a.parent in anchors]
+    if attached and draw(st.booleans()):
+        below = draw(st.sampled_from(attached))
+        root = below
+        while anchors[root].parent in anchors:
+            root = anchors[root].parent
+        anchors[root] = anchors[root]._replace(
+            status=ATTACHED, parent=below, parent_offset=(1.0, 0.0)
+        )
+    return WorldModel(anchors=tuple(draw(st.permutations(list(anchors.values())))))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(model=attachment_models())
+def test_propagation_matches_the_recursive_resolver_bit_for_bit(model):
+    try:
+        expected = reference_propagate(model)
+    except EngineError:
+        with pytest.raises(EngineError, match="attachment cycle via "):
+            propagate_attachments(model)
+        return
+    got = [a.attributes.position for a in propagate_attachments(model).anchors]
+    assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in expected]

@@ -743,6 +743,23 @@ class TestCli:
         meta = json.loads((tmp_path / "scenario.meta.json").read_text(encoding="utf-8"))
         assert len(meta["objects"]) == 8
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_a_count_below_one_is_an_error(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert main(["simulate", "--count", count, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_a_non_finite_jitter_sigma_is_an_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "out"
+        assert main(["simulate", "--template", "carried", "--jitter-sigma", sigma,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: jitter_sigma must be >= 0 and finite"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
         noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)
         noise_flags = ["--miss-rate", "0.1", "--ghost-rate", "0.05", "--jitter-sigma", "1.5"]

@@ -248,9 +248,55 @@ class TestScriptValidation:
                 objects=objects + (ObjectSpec("cube1", "cube", (30.0, 0.0), (300.0, 60.0)),))),
                 "object 'cube1' has non-positive size", id="zero-size"),
             pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, script=(),
+                objects=objects + (ObjectSpec("cube1", "cube", (np.nan, 30.0), (300.0, 60.0)),))),
+                "object 'cube1' has a non-finite size or start", id="nan-size"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, script=(),
+                objects=objects + (ObjectSpec("cube1", "cube", (30.0, 30.0), (np.inf, 60.0)),))),
+                "object 'cube1' has a non-finite size or start", id="infinite-start"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects,
+                script=(EventSpec("slide", "cone0", 10, 20, dest=(np.nan, 60.0)),))),
+                r"event 0: dest must be finite, got \(nan, 60.0\)", id="nan-dest"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects,
+                script=(EventSpec("contain", "cone0", 10, 20, target="snitch0",
+                                  offset=(0.0, -np.inf)),))),
+                r"event 0: offset must be finite, got \(0.0, -inf\)", id="infinite-offset"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(), viewport=(360.0, np.inf))),
+                r"viewport must be finite, got \(360.0, inf\)", id="infinite-viewport"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(),
+                camera=((0, (0.0, 0.0)), (20, (np.nan, 0.0))))),
+                r"camera waypoint 1: pose must be finite, got \(nan, 0.0\)", id="nan-waypoint"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=100, objects=objects, script=(),
+                camera=((0, (0.0, 0.0)), (50, (40.0, 0.0)), (20, (0.0, 0.0))))),
+                "camera waypoint 2: frame 20 must come after 50", id="waypoints-out-of-order"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=100, objects=objects, script=(),
+                camera=((0, (0.0, 0.0)), (0, (40.0, 0.0))))),
+                "camera waypoint 1: frame 0 must come after 0", id="repeated-waypoint-frame"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(), camera=())),
+                "camera needs at least one waypoint", id="no-waypoints"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
                 seed=0, frames=50, objects=objects, script=(),
                 noise=NoiseConfig(jitter_sigma=-1.0))),
                 "jitter_sigma must be >= 0", id="negative-jitter"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(),
+                noise=NoiseConfig(jitter_sigma=np.inf))),
+                "jitter_sigma must be >= 0 and finite, got inf", id="infinite-jitter"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(),
+                noise=NoiseConfig(jitter_sigma=np.nan))),
+                "jitter_sigma must be >= 0 and finite, got nan", id="nan-jitter"),
+            pytest.param(lambda objects: corrupt(
+                [[]], NoiseConfig(ghost_rate=0.5, ghost_clearance=np.nan), seed=0),
+                "ghost_clearance must be finite, got nan", id="nan-ghost-clearance"),
             pytest.param(lambda objects: generate(ScenarioConfig(
                 seed=0, frames=1, objects=objects, script=())),
                 "need at least two frames", id="one-frame"),

@@ -118,6 +118,20 @@ def test_the_invariant_check_rejects_a_broken_model():
         step(model, frame(1), CONFIG, check_invariants=True)
 
 
+def test_a_contain_on_a_model_holding_a_cycle_raises_instead_of_hanging():
+    model = WorldModel(
+        anchors=(
+            make_anchor("cube0", status=ATTACHED, parent="cube1", offset=(1.0, 0.0)),
+            make_anchor("cube1", status=ATTACHED, parent="cube0", offset=(-1.0, 0.0)),
+            make_anchor("cube2", pos=(200.0, 100.0)),
+        ),
+        frame_index=0,
+    )
+    contain = ActionEvent("contain", ("cube0", "cube2"), 1)
+    with pytest.raises(EngineError, match="attachment cycle via cube0 -> cube1 -> cube0"):
+        step(model, frame(1, actions=[contain]), CONFIG)
+
+
 # Shrinking a 100-frame scenario takes minutes; the failing seed is report enough.
 @settings(
     max_examples=8,
