@@ -172,7 +172,10 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
     if n_rows == n_cols:
         square = values
     else:
-        square = np.full((n, n), 10.0 * float(values.max()) + 1.0, dtype=float)
+        pad = 10.0 * float(values.max()) + 1.0
+        if not np.isfinite(pad):
+            raise EngineError(f"cost matrix entries too large to pad: {float(values.max())}")
+        square = np.full((n, n), pad, dtype=float)
         square[:n_rows, :n_cols] = values
 
     # The row indices come back in ascending order.

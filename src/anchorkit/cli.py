@@ -129,21 +129,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    if args.world_out and args.tracker != "aapa":
+        print("error: --world-out is only available with --tracker=aapa", file=sys.stderr)
+        return 1
+    if not args.world_out and not args.predictions_out:
+        print("nothing to write (pass --world-out and/or --predictions-out)", file=sys.stderr)
+        return 1
     config = load_engine_config(args.config)
     frames = read_detection_stream(args.detections)
     run = run_tracker(frames, args.tracker, config)
     if args.world_out:
-        if args.tracker != "aapa":
-            print("error: --world-out is only available with --tracker=aapa", file=sys.stderr)
-            return 1
         write_world_stream(args.world_out, run.world)
         print(f"wrote {args.world_out}")
     if args.predictions_out:
         write_predictions(args.predictions_out, run.predictions)
         print(f"wrote {args.predictions_out}")
-    if not args.world_out and not args.predictions_out:
-        print("nothing to write (pass --world-out and/or --predictions-out)", file=sys.stderr)
-        return 1
     return 0
 
 

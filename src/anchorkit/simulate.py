@@ -111,16 +111,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SimDetection:
-    """Pre-noise detection unit, still tagged with its source object."""
-
-    source: str
-    object_type: str
-    position: Vec2  # image coordinates
-    size: Vec2
-
-
-@dataclass(frozen=True)
 class ScenarioRecord:
     """Everything a scenario produced: truth, labels, events, detections."""
 
@@ -205,8 +195,9 @@ def _validate_noise(noise: NoiseConfig) -> None:
             raise SimulationError(f"{name} must lie in [0, 1], got {rate}")
     if not (0 <= noise.jitter_sigma < math.inf):
         raise SimulationError(f"jitter_sigma must be >= 0 and finite, got {noise.jitter_sigma}")
-    if noise.flicker_burst_length < 1:
-        raise SimulationError("flicker_burst_length must be >= 1")
+    burst = noise.flicker_burst_length
+    if not (isinstance(burst, (int, np.integer)) and burst >= 1):
+        raise SimulationError(f"flicker_burst_length must be an integer >= 1, got {burst}")
     if not _finite(noise.ghost_clearance):
         raise SimulationError(f"ghost_clearance must be finite, got {noise.ghost_clearance}")
 
@@ -225,11 +216,12 @@ def _validate_view(config: ScenarioConfig) -> None:
             )
 
 
-def _validate_objects(objects: Sequence[ObjectSpec]) -> None:
+def _validate_objects(objects: Sequence[ObjectSpec]) -> int:
+    """Checks the object specs; returns the index of the one target object."""
     names = [o.name for o in objects]
     if len(set(names)) != len(names):
         raise SimulationError("object names must be unique")
-    targets = [o for o in objects if o.object_type == TARGET_TYPE]
+    targets = [i for i, o in enumerate(objects) if o.object_type == TARGET_TYPE]
     if len(targets) != 1:
         raise SimulationError(f"exactly one {TARGET_TYPE} required, got {len(targets)}")
     for spec in objects:
@@ -237,6 +229,7 @@ def _validate_objects(objects: Sequence[ObjectSpec]) -> None:
             raise SimulationError(f"object {spec.name!r} has a non-finite size or start")
         if spec.size[0] <= 0 or spec.size[1] <= 0:
             raise SimulationError(f"object {spec.name!r} has non-positive size")
+    return targets[0]
 
 
 def _validate_script(
@@ -282,16 +275,17 @@ def _validate_script(
             )
 
 
-def _synthesize(script, objects, config):
+def _synthesize(script, objects, config, snitch: str):
     frames = config.frames
     position: dict[str, Vec2] = {o.name: o.start for o in objects}
-    attached: dict[str, tuple[str, Vec2]] = {}
+    # The attachment graph, as ``core.chain_position`` reads it.
+    parent_of: dict[str, str] = {}
+    offset_of: dict[str, Vec2] = {}
     attach_start: dict[str, int] = {}
     attach_log: list[tuple[str, str, int, int]] = []
     actions: list[ActionEvent] = []
     trajectory: list[dict[str, Vec2]] = []
     target_contained: list[bool] = []
-    snitch = next(o.name for o in objects if o.object_type == TARGET_TYPE)
 
     origin: dict[int, Vec2] = {}
     goal: dict[int, Vec2] = {}
@@ -301,25 +295,24 @@ def _synthesize(script, objects, config):
         # Attachment lifecycle first, mirroring actions-before-alignment.
         for i, ev in indexed:
             if ev.kind == "contain" and f == ev.end + 1:
-                if ev.target in attached:
+                if ev.target in parent_of:
                     raise SimulationError(
                         f"event {i}: contain target {ev.target!r} is already attached"
                     )
-                off = (
+                parent_of[ev.target] = ev.subject
+                offset_of[ev.target] = (
                     position[ev.target][0] - position[ev.subject][0],
                     position[ev.target][1] - position[ev.subject][1],
                 )
-                attached[ev.target] = (ev.subject, off)
                 attach_start[ev.target] = f
                 actions.append(ActionEvent("contain", (ev.subject, ev.target), f))
             elif ev.kind == "uncontain" and f == ev.start:
-                state = attached.get(ev.target)
-                if state is None or state[0] != ev.subject:
+                if parent_of.get(ev.target) != ev.subject:
                     raise SimulationError(
                         f"event {i}: uncontain without a matching containment of {ev.target!r}"
                     )
                 attach_log.append((ev.target, ev.subject, attach_start.pop(ev.target), f))
-                del attached[ev.target]
+                del parent_of[ev.target], offset_of[ev.target]
                 actions.append(ActionEvent("uncontain", (ev.subject, ev.target), f))
             elif ev.kind == "rotate" and f == ev.start:
                 actions.append(ActionEvent("rotate", (ev.subject,), f))
@@ -327,7 +320,7 @@ def _synthesize(script, objects, config):
         for i, ev in indexed:
             if ev.kind not in MOTION_KINDS or not (ev.start <= f <= ev.end):
                 continue
-            if ev.subject in attached:
+            if ev.subject in parent_of:
                 raise SimulationError(
                     f"event {i}: subject {ev.subject!r} cannot move while attached"
                 )
@@ -350,16 +343,13 @@ def _synthesize(script, objects, config):
                         f"event {i}: contain target {ev.target!r} moved during the approach"
                     )
 
-        if attached:
-            parent_of = {child: parent for child, (parent, _off) in attached.items()}
-            offset_of = {child: off for child, (_parent, off) in attached.items()}
-            for child in attached:  # roots are never attached, so never move here
-                position[child] = chain_position(child, parent_of, offset_of, position)
+        for child in parent_of:  # roots are never attached, so never move here
+            position[child] = chain_position(child, parent_of, offset_of, position)
 
         trajectory.append(dict(position))
-        target_contained.append(snitch in attached)
+        target_contained.append(snitch in parent_of)
 
-    for child, (parent, _off) in attached.items():
+    for child, parent in parent_of.items():
         attach_log.append((child, parent, attach_start[child], frames))
     return trajectory, target_contained, actions, attach_log
 
@@ -420,7 +410,8 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     objects = config.objects
     if objects is None:
         objects = _random_layout(rng, config)
-    _validate_objects(objects)
+    t = _validate_objects(objects)
+    snitch = objects[t].name
 
     script = config.script
     if script is None:
@@ -428,7 +419,9 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     script = tuple(sorted(script, key=lambda e: (e.start, e.end, e.subject)))
     _validate_script(script, objects, config)
 
-    trajectory, target_contained, actions, attach_log = _synthesize(script, objects, config)
+    trajectory, target_contained, actions, attach_log = _synthesize(
+        script, objects, config, snitch
+    )
     camera = tuple(_camera_pose(config.camera, f) for f in range(config.frames))
 
     # Draw order: later objects above earlier ones, cones above the rest and
@@ -449,47 +442,31 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         centers, sizes, layers, np.array(camera, dtype=float), config.viewport
     )
 
-    t = next(i for i, o in enumerate(objects) if o.object_type == TARGET_TYPE)
     left = np.flatnonzero(~in_view[:, t])
     if left.size:
         raise SimulationError(
             f"the target object left the viewport at frame {int(left[0])}; adjust the script"
         )
-    snitch = objects[t].name
     target_covered = covered[:, t].tolist()
 
     visibility: list[frozenset[str]] = []
-    clean: list[list[SimDetection]] = []
+    clean: list[list[tuple[str, Attributes]]] = []
     labels: list[str] = []
     for f, shown in enumerate((in_view & ~covered).tolist()):
         positions = trajectory[f]
         cx, cy = camera[f]
         detected = [
-            SimDetection(o.name, o.object_type, (x - cx, y - cy), o.size)
+            (o.name, Attributes(o.object_type, (x - cx, y - cy), o.size))
             for o, (x, y), show in zip(objects, positions.values(), shown)
             if show
         ]
-        visibility.append(frozenset([d.source for d in detected]))
+        visibility.append(frozenset([name for name, _ in detected]))
         clean.append(detected)
         if target_contained[f]:
             moved = f > 0 and positions[snitch] != trajectory[f - 1][snitch]
             labels.append("carried" if moved else "contained")
         else:
             labels.append("occluded" if target_covered[f] else "visible")
-
-    noisy = corrupt(clean, config.noise, config.seed + 7919, config.viewport)
-    detections = tuple(
-        tuple(
-            Percept(
-                percept_id=i,
-                attributes=Attributes(
-                    object_type=det.object_type, position=det.position, size=det.size
-                ),
-            )
-            for i, det in enumerate(frame_dets)
-        )
-        for frame_dets in noisy
-    )
 
     return ScenarioRecord(
         frames=config.frames,
@@ -499,45 +476,47 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         truth=tuple(trajectory),
         labels=tuple(labels),
         actions=tuple(actions),
-        detections=detections,
+        detections=corrupt(clean, config.noise, config.seed + 7919, config.viewport),
         visibility=tuple(visibility),
         attachments=tuple(attach_log),
     )
 
 
 def corrupt(
-    frames: Sequence[Sequence[SimDetection]],
+    frames: Sequence[Sequence[tuple[str, Attributes]]],
     noise: NoiseConfig,
     seed: int,
     viewport: Vec2 = (360.0, 240.0),
-) -> list[list[SimDetection]]:
+) -> tuple[tuple[Percept, ...], ...]:
     """Drop detections in bursts, inject short-lived ghosts, jitter centers.
 
-    Deterministic in the seed. Miss bursts are keyed to the source object;
-    burst and ghost lifetimes draw uniformly from 1..flicker_burst_length.
+    ``frames`` holds each frame's detected objects as ``(object name,
+    Attributes)`` pairs in image coordinates. Returns each frame's percepts:
+    the kept detections in input order, then the live ghosts, with ids
+    counted from 0. Deterministic in the seed. Miss bursts are keyed to the
+    object name; burst and ghost lifetimes draw uniformly from
+    1..flicker_burst_length.
     """
     _validate_noise(noise)
     rng = np.random.default_rng(seed)
     width, height = viewport
     miss_left: dict[str, int] = {}
     last_seen: dict[str, Vec2] = {}
-    ghosts: list[list] = []  # [SimDetection, frames_left]
-    ghost_counter = 0
-    out: list[list[SimDetection]] = []
-    for frame_dets in frames:
-        for det in frame_dets:
-            last_seen[det.source] = det.position
-        kept: list[SimDetection] = []
-        for det in frame_dets:
-            left = miss_left.get(det.source, 0)
+    ghosts: list[list] = []  # [Attributes, frames_left]
+    out: list[tuple[Percept, ...]] = []
+    for frame in frames:
+        kept: list[Attributes] = []
+        for name, attributes in frame:
+            last_seen[name] = attributes.position
+            left = miss_left.get(name, 0)
             if left > 0:
-                miss_left[det.source] = left - 1
+                miss_left[name] = left - 1
                 continue
             if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
                 burst = int(rng.integers(1, noise.flicker_burst_length + 1))
-                miss_left[det.source] = burst - 1
+                miss_left[name] = burst - 1
                 continue
-            kept.append(det)
+            kept.append(attributes)
         if noise.ghost_rate > 0 and rng.random() < noise.ghost_rate:
             spawn = None
             for _try in range(20):
@@ -553,14 +532,10 @@ def corrupt(
                     spawn = candidate
                     break
             if spawn is not None:
-                ghost = SimDetection(
-                    source=f"ghost{ghost_counter}",
-                    object_type=str(rng.choice(GHOST_TYPES)),
-                    position=spawn,
-                    size=(float(rng.uniform(14.0, 40.0)), float(rng.uniform(14.0, 40.0))),
-                )
-                ghost_counter += 1
-                ghosts.append([ghost, int(rng.integers(1, noise.flicker_burst_length + 1))])
+                object_type = str(rng.choice(GHOST_TYPES))
+                size = (float(rng.uniform(14.0, 40.0)), float(rng.uniform(14.0, 40.0)))
+                lifetime = int(rng.integers(1, noise.flicker_burst_length + 1))
+                ghosts.append([Attributes(object_type, spawn, size), lifetime])
         alive: list[list] = []
         for entry in ghosts:
             kept.append(entry[0])
@@ -572,16 +547,11 @@ def corrupt(
             # One call draws the same numbers as a pair of calls per detection.
             shifts = rng.normal(0.0, noise.jitter_sigma, size=(len(kept), 2)).tolist()
             kept = [
-                SimDetection(
-                    det.source,
-                    det.object_type,
-                    (det.position[0] + dx, det.position[1] + dy),
-                    det.size,
-                )
-                for det, (dx, dy) in zip(kept, shifts)
+                Attributes(a.object_type, (a.position[0] + dx, a.position[1] + dy), a.size)
+                for a, (dx, dy) in zip(kept, shifts)
             ]
-        out.append(kept)
-    return out
+        out.append(tuple(map(Percept, range(len(kept)), kept)))
+    return tuple(out)
 
 
 def h1_violations(record: ScenarioRecord) -> list[str]:

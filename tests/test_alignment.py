@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from anchorkit.alignment import (
+    _has_neutral_swap,
     align,
     build_cost_matrix,
     compensate_camera_motion,
     solve_assignment,
 )
-from anchorkit.core import Anchor, Attributes, EngineConfig, Percept, WorldModel
+from anchorkit.core import Anchor, Attributes, EngineConfig, EngineError, Percept, WorldModel
 
 
 def brute_force_assignment(values: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -187,6 +188,11 @@ class TestSolveAssignment:
         with pytest.raises(ValueError):
             solve_assignment(np.array([[np.inf]]))
 
+    def test_rejects_costs_too_large_to_pad(self):
+        # The dummy column would cost 10 * 3e307 + 1, which is not finite.
+        with pytest.raises(EngineError, match="too large to pad"):
+            solve_assignment(np.array([[3e307], [1.0]]))
+
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(12345)
         for _ in range(200):
@@ -305,6 +311,16 @@ class TestSolveAssignmentTies:
             values[a, a] = values[a + 1, a] = 1.0
             values[a, a + 1] = 0.0
             assert solve_assignment(values) == [(i, i) for i in range(20)]
+
+    def test_ascending_columns_on_many_pairs_skip_the_sweep(self):
+        # 20 pairs in ascending column order: no pair is inverted, so there is
+        # no neutral swap to make, even where every swap keeps the total.
+        values = np.ones((20, 20))
+        np.fill_diagonal(values, 0.0)
+        identity = [(i, i) for i in range(20)]
+        assert solve_assignment(values) == identity
+        index = np.arange(20)
+        assert not _has_neutral_swap(index, index, np.ones((20, 20)))
 
     @pytest.mark.parametrize("kind", ["integer", "half", "continuous"])
     def test_no_tie_left_to_swap_on_large_matrices(self, kind):

@@ -78,6 +78,13 @@ class TestDetectionStreams:
         path.write_text("", encoding="utf-8")
         assert read_detection_stream(path) == []
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        write_detection_stream(path, sample_frames())
+        first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("\n" + first + "  \n\n" + second + "\n", encoding="utf-8")
+        assert read_detection_stream(path) == sample_frames()
+
     def test_single_line(self, tmp_path):
         path = tmp_path / "one.jsonl"
         write_detection_stream(path, sample_frames()[:1])
@@ -638,6 +645,38 @@ class TestCli:
             "track", "--detections", f"{out / 'scenario'}.detections.jsonl",
             "--tracker", "heuristic", "--world-out", str(tmp_path / "w.jsonl"),
         ]) == 1
+
+    def test_track_reports_costs_too_large_to_pad_and_exits_1(self, tmp_path, capsys):
+        # The second frame pairs two percepts with one track, at a cost of about 1e308.
+        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
+        far = dict(cube, id=1, pos=[1e154, 10])
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [
+            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+            {"frame": 1, "camera": [0, 0], "detections": [cube, far], "actions": []},
+        ])
+        assert main(["track", "--detections", str(path),
+                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost matrix entries too large to pad"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "outputs, message",
+        [
+            ([], "nothing to write"),
+            (["--tracker", "heuristic", "--world-out", "w.jsonl"],
+             "error: --world-out is only available with --tracker=aapa"),
+        ],
+        ids=["no-output", "heuristic-world"],
+    )
+    def test_track_checks_its_arguments_before_reading(self, tmp_path, capsys, outputs, message):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["track", "--detections", str(missing), "--config", str(missing),
+                     *outputs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message), err
+        assert not (tmp_path / "w.jsonl").exists()
 
     def test_missing_files_and_flags_fail_nonzero(self, tmp_path, capsys):
         assert main(["track", "--detections", str(tmp_path / "nope.jsonl"),

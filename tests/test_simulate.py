@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from test_golden import _crowd_scenario
 
 from anchorkit import simulate
-from anchorkit.core import EngineConfig, EngineError, box_intersection
+from anchorkit.core import Attributes, EngineConfig, EngineError, Percept, box_intersection
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import (
     EventSpec,
     NoiseConfig,
     ObjectSpec,
     ScenarioConfig,
-    SimDetection,
     SimulationError,
     build_template,
     corrupt,
@@ -297,6 +296,12 @@ class TestScriptValidation:
             pytest.param(lambda objects: corrupt(
                 [[]], NoiseConfig(ghost_rate=0.5, ghost_clearance=np.nan), seed=0),
                 "ghost_clearance must be finite, got nan", id="nan-ghost-clearance"),
+            pytest.param(lambda objects: generate(build_template(
+                "carried", 1, noise=NoiseConfig(miss_rate=0.2, flicker_burst_length=np.nan))),
+                "flicker_burst_length must be an integer >= 1, got nan", id="nan-burst"),
+            pytest.param(lambda objects: generate(build_template(
+                "carried", 1, noise=NoiseConfig(miss_rate=0.2, flicker_burst_length=2.5))),
+                "flicker_burst_length must be an integer >= 1, got 2.5", id="fractional-burst"),
             pytest.param(lambda objects: generate(ScenarioConfig(
                 seed=0, frames=1, objects=objects, script=())),
                 "need at least two frames", id="one-frame"),
@@ -324,25 +329,32 @@ class TestScriptValidation:
 
 class TestCorrupt:
     def frames_of(self, record):
+        """Every object of ``record`` in every frame, as ``corrupt`` takes them."""
         return [
             [
-                SimDetection(spec.name, spec.object_type,
-                             record.image_position(f, spec.name), spec.size)
+                (spec.name, Attributes(spec.object_type,
+                                       record.image_position(f, spec.name), spec.size))
                 for spec in record.objects
             ]
             for f in range(record.frames)
         ]
 
+    @staticmethod
+    def percepts(frame):
+        """``frame``'s detections as ``corrupt`` returns them without noise."""
+        return tuple(Percept(i, attributes) for i, (_name, attributes) in enumerate(frame))
+
     def test_zero_noise_is_identity(self):
         record = small_static()
         frames = self.frames_of(record)
-        assert corrupt(frames, NoiseConfig(), seed=1) == frames
+        assert corrupt(frames, NoiseConfig(), seed=1) == tuple(map(self.percepts, frames))
 
     def test_full_miss_rate_empties_every_frame(self):
         record = small_static()
         frames = self.frames_of(record)
         out = corrupt(frames, NoiseConfig(miss_rate=1.0), seed=1)
-        assert all(frame == [] for frame in out)
+        assert len(out) == len(frames)
+        assert all(frame == () for frame in out)
 
     def test_deterministic_in_seed(self):
         record = small_static()
@@ -357,8 +369,10 @@ class TestCorrupt:
         frames = self.frames_of(record)
         noise = NoiseConfig(ghost_rate=0.5, flicker_burst_length=2, ghost_clearance=60.0)
         out = corrupt(frames, noise, seed=2)
-        truth_positions = [d.position for frame in frames for d in frame]
-        ghosts = [d for frame in out for d in frame if d.source.startswith("ghost")]
+        truth_positions = [a.position for frame in frames for _name, a in frame]
+        # Nothing is missed, so each frame's ghosts follow its real detections.
+        assert all(noisy[:len(clean)] == self.percepts(clean) for clean, noisy in zip(frames, out))
+        ghosts = [p.attributes for clean, noisy in zip(frames, out) for p in noisy[len(clean):]]
         assert ghosts, "expected some ghosts at rate 0.5"
         for ghost in ghosts:
             for pos in truth_positions:
@@ -371,9 +385,13 @@ class TestCorrupt:
         frames = self.frames_of(record)
         out = corrupt(frames, NoiseConfig(jitter_sigma=2.0), seed=3)
         for clean_frame, noisy_frame in zip(frames, out):
-            assert [d.source for d in clean_frame] == [d.source for d in noisy_frame]
-            assert [d.size for d in clean_frame] == [d.size for d in noisy_frame]
-        assert out != frames
+            assert [p.percept_id for p in noisy_frame] == list(range(len(clean_frame)))
+            assert [(a.object_type, a.size) for _name, a in clean_frame] == [
+                (p.attributes.object_type, p.attributes.size) for p in noisy_frame
+            ]
+        assert [p.attributes.position for frame in out for p in frame] != [
+            a.position for frame in frames for _name, a in frame
+        ]
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(SimulationError):
