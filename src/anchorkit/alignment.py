@@ -71,6 +71,9 @@ def compensate_camera_motion(
     return tuple(shifted)
 
 
+# No overflow warning: ``solve_assignment`` rejects a cost that overflowed to
+# inf, and the product ``np.where`` discards may overflow harmlessly.
+@np.errstate(over="ignore")
 def build_cost_matrix(
     percepts: Sequence[Percept], anchors: Sequence[Anchor], config: EngineConfig
 ) -> CostMatrix:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -114,12 +115,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 {"name": o.name, "type": o.object_type, "size": list(o.size)}
                 for o in record.objects
             ],
-            "noise": {
-                "miss_rate": config.noise.miss_rate,
-                "ghost_rate": config.noise.ghost_rate,
-                "jitter_sigma": config.noise.jitter_sigma,
-                "flicker_burst_length": config.noise.flicker_burst_length,
-            },
+            "noise": dataclasses.asdict(config.noise),
         }
         (out / f"{stem}.meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"

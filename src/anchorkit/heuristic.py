@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import Box, Percept, Vec2
+from .metrics import TARGET_TYPE
 
 
 class HeuristicTracker:
@@ -18,8 +19,7 @@ class HeuristicTracker:
     previous prediction. Distance ties break toward the lowest percept id.
     """
 
-    def __init__(self, target_type: str):
-        self.target_type = target_type
+    def __init__(self) -> None:
         self.last_center: Vec2 | None = None
         self.last_prediction: Box | None = None
 
@@ -30,7 +30,7 @@ class HeuristicTracker:
         return dx * dx + dy * dy
 
     def step(self, percepts: Sequence[Percept]) -> Box | None:
-        targets = [p for p in percepts if p.attributes.object_type == self.target_type]
+        targets = [p for p in percepts if p.attributes.object_type == TARGET_TYPE]
         if targets:
             if self.last_center is None:
                 pick = min(targets, key=lambda p: p.percept_id)

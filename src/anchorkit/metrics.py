@@ -4,6 +4,8 @@ videos."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Mapping, Sequence
@@ -54,15 +56,15 @@ class Scenario:
     labels: tuple[str, ...]
     objects: tuple[tuple[tuple[str, str, Box], ...], ...]
 
-    def target_box(self, frame: int, target_type: str) -> Box:
+    def target_box(self, frame: int) -> Box:
         for _, object_type, box in self.objects[frame]:
-            if object_type == target_type:
+            if object_type == TARGET_TYPE:
                 return box
-        raise EvalError(f"no object of type {target_type!r} in truth frame {frame}")
+        raise EvalError(f"no object of type {TARGET_TYPE!r} in truth frame {frame}")
 
-    def first_detection_frame(self, target_type: str) -> int | None:
+    def first_detection_frame(self) -> int | None:
         for f, frame in enumerate(self.inputs):
-            if any(p.attributes.object_type == target_type for p in frame.percepts):
+            if any(p.attributes.object_type == TARGET_TYPE for p in frame.percepts):
                 return f
         return None
 
@@ -79,9 +81,7 @@ class VideoScores:
     frame_counts: Mapping[str, int] = field(default_factory=dict)
 
 
-def score_stream(
-    predictions: Sequence[Box | None], scenario: Scenario, target_type: str = TARGET_TYPE
-) -> VideoScores:
+def score_stream(predictions: Sequence[Box | None], scenario: Scenario) -> VideoScores:
     """Score one video against its scenario.
 
     Frames before the target's first appearance in the detection stream are
@@ -94,7 +94,7 @@ def score_stream(
         raise EvalError(
             f"prediction stream has {len(predictions)} frames, scenario has {len(labels)}"
         )
-    first = scenario.first_detection_frame(target_type)
+    first = scenario.first_detection_frame()
     if first is None:
         return VideoScores(scored=False)
 
@@ -102,7 +102,7 @@ def score_stream(
     sums_l2: dict[str, float] = {}
     counts: dict[str, int] = {}
     for f in range(first, len(labels)):
-        truth = scenario.target_box(f, target_type)
+        truth = scenario.target_box(f)
         pred = predictions[f]
         frame_iou = iou(pred, truth) if pred is not None else 0.0
         frame_l2 = l2_center(pred, truth)
@@ -176,10 +176,13 @@ def render_table(rows: Sequence[tuple[str, BucketStats]]) -> str:
 
 def results_csv(rows: Sequence[tuple[str, BucketStats]]) -> str:
     """One line per row: the tracker, then the ``BucketStats`` fields in
-    order; floats keep full ``repr`` precision."""
-    header = ",".join(["tracker", *(f.name for f in fields(BucketStats))])
-    lines = [",".join(map(str, (tracker, *astuple(s)))) for tracker, s in rows]
-    return "\n".join([header, *lines]) + "\n"
+    order; floats keep full ``repr`` precision. A tracker name holding a
+    comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["tracker", *(f.name for f in fields(BucketStats))])
+    writer.writerows((tracker, *astuple(s)) for tracker, s in rows)
+    return out.getvalue()
 
 
 def results_json_payload(

@@ -24,7 +24,6 @@ class TrackRun:
 def run_engine_stream(
     frames: Sequence[FrameInput],
     config: EngineConfig,
-    target_type: str = TARGET_TYPE,
     *,
     check_invariants: bool = False,
 ) -> TrackRun:
@@ -34,15 +33,13 @@ def run_engine_stream(
     for frame in frames:
         engine.step(frame)
         world.append((frame.frame_index, tuple(engine.query(ANCHORED))))
-        target = engine.predict(target_type)
+        target = engine.predict(TARGET_TYPE)
         predictions.append(target.box if target is not None else None)
     return TrackRun(predictions=predictions, world=world)
 
 
-def run_heuristic_stream(
-    frames: Sequence[FrameInput], target_type: str = TARGET_TYPE
-) -> TrackRun:
-    tracker = HeuristicTracker(target_type)
+def run_heuristic_stream(frames: Sequence[FrameInput]) -> TrackRun:
+    tracker = HeuristicTracker()
     predictions = [tracker.step(frame.percepts) for frame in frames]
     return TrackRun(predictions=predictions, world=[])
 

@@ -125,11 +125,11 @@ class ScenarioRecord:
     visibility: tuple[frozenset[str], ...]  # pre-noise detectable object names
     attachments: tuple[tuple[str, str, int, int], ...]  # (child, parent, start, end)
 
-    def target_name(self, target_type: str) -> str:
+    def target_name(self) -> str:
         for spec in self.objects:
-            if spec.object_type == target_type:
+            if spec.object_type == TARGET_TYPE:
                 return spec.name
-        raise KeyError(f"no object of type {target_type!r}")
+        raise KeyError(f"no object of type {TARGET_TYPE!r}")
 
     def image_position(self, frame: int, name: str) -> Vec2:
         wx, wy = self.truth[frame][name]

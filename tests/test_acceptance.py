@@ -63,8 +63,8 @@ def test_criterion_2_noiseless_exactness_on_100_mixed_scenarios():
         record = generate(build_template("mixed", seed))
         assert set(record.labels) == {"visible", "occluded", "contained", "carried"}
         assert h1_violations(record) == []
-        run = run_engine_stream(record.frame_inputs(), config, "snitch")
-        videos.append(score_stream(run.predictions, record.scenario(), "snitch"))
+        run = run_engine_stream(record.frame_inputs(), config)
+        videos.append(score_stream(run.predictions, record.scenario()))
     rows, excluded = aggregate(videos)
     elapsed = time.perf_counter() - started
     assert excluded == 0
@@ -93,10 +93,10 @@ def test_criterion_3_engine_beats_heuristic_on_carried_suite():
         scenario = record.scenario()
         frames = scenario.inputs
         engine_videos.append(
-            score_stream(run_engine_stream(frames, config, "snitch").predictions, scenario)
+            score_stream(run_engine_stream(frames, config).predictions, scenario)
         )
         heuristic_videos.append(
-            score_stream(run_heuristic_stream(frames, "snitch").predictions, scenario)
+            score_stream(run_heuristic_stream(frames).predictions, scenario)
         )
     engine_rows = {r.subtask: r for r in aggregate(engine_videos)[0]}
     heuristic_rows = {r.subtask: r for r in aggregate(heuristic_videos)[0]}
@@ -161,7 +161,7 @@ def test_criterion_5_pure_camera_motion_is_equivariant():
 def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
     config = EngineConfig()
     record = generate(build_template("static", 5, n_objects=5))
-    snitch = record.target_name("snitch")
+    snitch = record.target_name()
     reveal = 120
 
     def strip(percepts, frame):
@@ -179,10 +179,10 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
         ),
     )
     scenario = record.scenario()
-    assert scenario.first_detection_frame("snitch") == reveal
+    assert scenario.first_detection_frame() == reveal
 
-    run = run_engine_stream(scenario.inputs, config, "snitch")
-    scores = score_stream(run.predictions, scenario, "snitch")
+    run = run_engine_stream(scenario.inputs, config)
+    scores = score_stream(run.predictions, scenario)
     assert scores.first_frame == reveal
     assert scores.frame_counts["overall"] == record.frames - reveal
 
@@ -209,7 +209,7 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
         ),
     )
     never_scores = score_stream(
-        run_engine_stream(never.frame_inputs(), config, "snitch").predictions, never.scenario()
+        run_engine_stream(never.frame_inputs(), config).predictions, never.scenario()
     )
     assert not never_scores.scored
     assert aggregate([never_scores])[1] == 1
@@ -254,8 +254,8 @@ def test_criterion_8_external_benchmark_if_provided():
     videos = []
     for prefix in prefixes:
         scenario = load_scenario(prefix)
-        run = run_engine_stream(scenario.inputs, config, "snitch")
-        videos.append(score_stream(run.predictions, scenario, "snitch"))
+        run = run_engine_stream(scenario.inputs, config)
+        videos.append(score_stream(run.predictions, scenario))
     rows, _ = aggregate(videos)
     overall = next(r for r in rows if r.subtask == "overall")
     mean_iou_pct = overall.mean_iou * 100.0

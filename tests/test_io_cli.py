@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -323,8 +324,8 @@ class TestTruthFiles:
     def test_loads_a_scenario(self, tmp_path):
         scenario = load_scenario(self.write(tmp_path, [truth_line(0), truth_line(2)]))
         assert scenario.inputs == tuple(sample_frames())
-        assert scenario.target_box(1, "snitch") == ((50.5, 60.25), (18.0, 18.0))
-        assert scenario.first_detection_frame("snitch") == 0
+        assert scenario.target_box(1) == ((50.5, 60.25), (18.0, 18.0))
+        assert scenario.first_detection_frame() == 0
 
     @pytest.mark.parametrize(
         "second, message",
@@ -661,6 +662,22 @@ class TestCli:
         assert err.startswith("error: cost matrix entries too large to pad"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("x", [1e154, 1e200], ids=["too-large-to-pad", "overflows-to-inf"])
+    def test_track_on_overflowing_costs_prints_only_the_error(self, tmp_path, capsys, x):
+        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [
+            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+            {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1, pos=[x, 10])],
+             "actions": []},
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would escape main
+            assert main(["track", "--detections", str(path),
+                         "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
     @pytest.mark.parametrize(
         "outputs, message",
         [
@@ -877,9 +894,11 @@ class TestScenarioConfigFiles:
     def test_meta_records_the_generated_seed_and_noise(self, tmp_path, capsys):
         noise = {"miss_rate": 0.1, "ghost_rate": 0.05, "jitter_sigma": 0.5,
                  "flicker_burst_length": 2}
-        assert self.simulate(tmp_path, scenario_json(seed=1234, noise=noise))[0] == 0
-        meta = json.loads((tmp_path / "out" / "scenario.meta.json").read_text(encoding="utf-8"))
-        assert (meta["seed"], meta["noise"], meta["template"]) == (1234, noise, "file")
+        for given, recorded in [(noise, dict(noise, ghost_clearance=0.0)),
+                                (dict(noise, ghost_clearance=60), dict(noise, ghost_clearance=60.0))]:
+            assert self.simulate(tmp_path, scenario_json(seed=1234, noise=given))[0] == 0
+            meta = json.loads((tmp_path / "out" / "scenario.meta.json").read_text(encoding="utf-8"))
+            assert (meta["seed"], meta["noise"], meta["template"]) == (1234, recorded, "file")
         # A template run records its flags, as before.
         out = tmp_path / "template"
         assert main(["simulate", "--template", "static", "--seed", "5", "--frames", "20",
@@ -887,4 +906,4 @@ class TestScenarioConfigFiles:
         meta = json.loads((out / "scenario.meta.json").read_text(encoding="utf-8"))
         assert meta["seed"] == 5
         assert meta["noise"] == {"miss_rate": 0.2, "ghost_rate": 0.0, "jitter_sigma": 0.0,
-                                 "flicker_burst_length": 1}
+                                 "flicker_burst_length": 1, "ghost_clearance": 0.0}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -120,6 +123,13 @@ class TestScoreStream:
         with pytest.raises(EvalError, match="frames"):
             score_stream([None] * 2, scenario)
 
+    def test_truth_frame_without_the_target_rejected(self):
+        scenario = make_scenario(("visible",) * 2, [box(1, 1, 2, 2)] * 2, first=0)
+        cube_only = (("cube0", "cube", box(1, 1, 2, 2)),)
+        scenario = Scenario(scenario.inputs, scenario.labels, (scenario.objects[0], cube_only))
+        with pytest.raises(EvalError, match="no object of type 'snitch' in truth frame 1"):
+            score_stream([None] * 2, scenario)
+
     def test_unknown_label_rejected(self):
         scenario = make_scenario(("hovering",), [box(1, 1, 2, 2)], first=0)
         with pytest.raises(EvalError, match="label"):
@@ -176,6 +186,13 @@ class TestResultWriters:
             "heuristic,overall,0.6666666666666666,0.0,1e-17,123456.789,1\n"
         )
 
+    @pytest.mark.parametrize("name", ["aapa,v2", 'say "hi"', "two\nlines"])
+    def test_csv_reads_back_with_awkward_tracker_names(self, name):
+        rows = [(name, stats) for _, stats in self.ROWS]
+        header, *read = csv.reader(io.StringIO(results_csv(rows)))
+        assert header == ["tracker", *(f.name for f in fields(BucketStats))]
+        assert read == [[name, *map(str, astuple(stats))] for _, stats in rows]
+
     def test_json_payload(self):
         payload = results_json_payload(self.ROWS, excluded=2)
         keys = ["tracker", "subtask", "mean_iou", "sem_iou", "mean_l2", "sem_l2", "n_videos"]
@@ -193,8 +210,8 @@ class TestResultWriters:
 
 def test_noiseless_suite_scores_perfectly_end_to_end():
     record = generate(build_template("mixed", 3))
-    run = run_engine_stream(record.frame_inputs(), EngineConfig(), "snitch")
-    scores = score_stream(run.predictions, record.scenario(), "snitch")
+    run = run_engine_stream(record.frame_inputs(), EngineConfig())
+    scores = score_stream(run.predictions, record.scenario())
     for bucket in ("visible", "occluded", "contained", "carried", "overall"):
         assert scores.mean_iou[bucket] == pytest.approx(1.0)
         assert scores.mean_l2[bucket] == pytest.approx(0.0, abs=1e-9)

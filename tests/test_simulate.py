@@ -86,7 +86,7 @@ class TestNoiselessSemantics:
         record = generate(build_template("mixed", 9))
         spec = {o.name: o for o in record.objects}
         q = 0.5
-        snitch = record.target_name("snitch")
+        snitch = record.target_name()
         for f in range(record.frames):
             contained = any(
                 c == snitch and s <= f < e for c, _p, s, e in record.attachments
@@ -102,7 +102,7 @@ class TestNoiselessSemantics:
 
     def test_containment_implies_inside_container_footprint(self):
         record = generate(build_template("mixed", 2))
-        snitch = record.target_name("snitch")
+        snitch = record.target_name()
         for child, parent, start, end in record.attachments:
             if child != snitch:
                 continue
@@ -116,7 +116,7 @@ class TestNoiselessSemantics:
     def test_depth_three_chain_present_in_mixed_template(self):
         record = generate(build_template("mixed", 0))
         by_child = {c: (p, s, e) for c, p, s, e in record.attachments}
-        snitch = record.target_name("snitch")
+        snitch = record.target_name()
         parent, s0, e0 = by_child[snitch]
         grand, s1, e1 = by_child[parent][0], by_child[parent][1], by_child[parent][2]
         assert grand != snitch
@@ -134,6 +134,17 @@ class TestTemplatesAreCompliant:
         record = generate(build_template("random", 23))
         assert h1_violations(record) == []
         assert record == generate(build_template("random", 23))
+
+    def test_random_script_without_a_cone_contains_nothing(self):
+        objects = (
+            ObjectSpec("cube0", "cube", (30.0, 30.0), (80.0, 120.0)),
+            ObjectSpec("snitch0", "snitch", (18.0, 18.0), (260.0, 120.0)),
+        )
+        config = ScenarioConfig(seed=4, objects=objects)
+        record = generate(config)
+        assert not {a.name for a in record.actions} & {"contain", "uncontain"}
+        assert h1_violations(record) == []
+        assert record == generate(config)
 
     def test_tampered_record_fails_h1_check(self):
         record = small_static()
@@ -433,9 +444,8 @@ class TestTrackingOnTemplates:
     def test_noiseless_tracking_is_exact_after_anchoring(self):
         record = generate(build_template("mixed", 13))
         engine_config = EngineConfig()
-        run = run_engine_stream(record.frame_inputs(), engine_config, "snitch",
-                                check_invariants=True)
-        snitch = record.target_name("snitch")
+        run = run_engine_stream(record.frame_inputs(), engine_config, check_invariants=True)
+        snitch = record.target_name()
         for f, (pos, _size) in enumerate(b for b in run.predictions):
             truth = record.image_position(f, snitch)
             assert abs(pos[0] - truth[0]) <= 1e-9
