@@ -102,15 +102,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         record = generate(config)
         out.mkdir(parents=True, exist_ok=True)
-        scenario = record.scenario()
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"
-        write_detection_stream(out / f"{stem}.detections.jsonl", scenario.inputs)
-        write_truth_stream(out / f"{stem}.truth.jsonl", scenario)
+        write_detection_stream(out / f"{stem}.detections.jsonl", record.scenario.inputs)
+        write_truth_stream(out / f"{stem}.truth.jsonl", record.scenario)
         meta = {
             "seed": config.seed,
             "frames": record.frames,
             "template": "file" if scenario_json is not None else args.template,
-            "viewport": list(record.viewport),
+            "viewport": list(config.viewport),
             "objects": [
                 {"name": o.name, "type": o.object_type, "size": list(o.size)}
                 for o in record.objects

@@ -239,7 +239,7 @@ class EngineConfig:
             raise ConfigError("conf_inc and conf_dec must lie in (0, 1)")
         if not (0 < self.kappa_anch <= self.kappa_inf <= 1):
             raise ConfigError("thresholds must satisfy 0 < kappa_anch <= kappa_inf <= 1")
-        if self.field_of_view[0] <= 0 or self.field_of_view[1] <= 0:
+        if not (self.field_of_view[0] > 0 and self.field_of_view[1] > 0):
             raise ConfigError("field_of_view must be positive")
 
 

@@ -189,8 +189,20 @@ _TRUTH_KEYS = dict.fromkeys(("frame", "camera", "objects", "snitch_label"))
 _TRUTH_OBJECT_KEYS = dict.fromkeys(("name", "type", "pos", "size"))
 
 
-def _dump_line(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+# NaN and infinities are not JSON, and no reader here accepts them.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _write_lines(path, payloads: Iterable[dict]) -> None:
+    """Write one compact JSON line per payload. A non-finite number raises
+    ``StreamFormatError`` naming ``path:line``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for line_no, payload in enumerate(payloads, start=1):
+            try:
+                text = _ENCODER.encode(payload)
+            except ValueError as exc:
+                raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
+            handle.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +210,24 @@ def _dump_line(payload: dict) -> str:
 
 
 def write_detection_stream(path, frames: Iterable[FrameInput]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for frame in frames:
-            handle.write(
-                _dump_line(
-                    {
-                        "frame": frame.frame_index,
-                        "camera": list(frame.camera_pose),
-                        "detections": [
-                            {
-                                "id": p.percept_id,
-                                "type": p.attributes.object_type,
-                                "score": p.detector_score,
-                                "pos": list(p.attributes.position),
-                                "size": list(p.attributes.size),
-                            }
-                            for p in frame.percepts
-                        ],
-                        "actions": [
-                            {"name": a.name, "args": list(a.arguments)}
-                            for a in frame.actions
-                        ],
-                    }
-                )
-            )
+    _write_lines(path, (
+        {
+            "frame": frame.frame_index,
+            "camera": list(frame.camera_pose),
+            "detections": [
+                {
+                    "id": p.percept_id,
+                    "type": p.attributes.object_type,
+                    "score": p.detector_score,
+                    "pos": list(p.attributes.position),
+                    "size": list(p.attributes.size),
+                }
+                for p in frame.percepts
+            ],
+            "actions": [{"name": a.name, "args": list(a.arguments)} for a in frame.actions],
+        }
+        for frame in frames
+    ))
 
 
 def read_detection_stream(path) -> list[FrameInput]:
@@ -278,23 +284,25 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
 # World streams (query results)
 
 
+def _anchor_entry(a: Anchor) -> dict:
+    entry = {
+        "id": a.anchor_id,
+        "type": a.attributes.object_type,
+        "pos": list(a.attributes.position),
+        "size": list(a.attributes.size),
+        "conf": a.confidence,
+        "status": a.status,
+    }
+    if a.parent is not None:
+        entry["parent"] = a.parent
+    return entry
+
+
 def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for frame_index, anchors in frames:
-            entries = []
-            for a in anchors:
-                entry = {
-                    "id": a.anchor_id,
-                    "type": a.attributes.object_type,
-                    "pos": list(a.attributes.position),
-                    "size": list(a.attributes.size),
-                    "conf": a.confidence,
-                    "status": a.status,
-                }
-                if a.parent is not None:
-                    entry["parent"] = a.parent
-                entries.append(entry)
-            handle.write(_dump_line({"frame": frame_index, "anchors": entries}))
+    _write_lines(path, (
+        {"frame": frame_index, "anchors": list(map(_anchor_entry, anchors))}
+        for frame_index, anchors in frames
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +310,10 @@ def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> 
 
 
 def write_predictions(path, predictions: Sequence[Box | None]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for frame_index, box in enumerate(predictions):
-            payload = {"frame": frame_index, "box": None}
-            if box is not None:
-                payload["box"] = {"pos": list(box[0]), "size": list(box[1])}
-            handle.write(_dump_line(payload))
+    _write_lines(path, (
+        {"frame": f, "box": None if box is None else {"pos": list(box[0]), "size": list(box[1])}}
+        for f, box in enumerate(predictions)
+    ))
 
 
 def read_predictions(path) -> list[Box | None]:
@@ -333,21 +339,18 @@ def _prediction(obj: dict, done: list) -> Box | None:
 
 
 def write_truth_stream(path, scenario: Scenario) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for frame, label, objects in zip(scenario.inputs, scenario.labels, scenario.objects):
-            handle.write(
-                _dump_line(
-                    {
-                        "frame": frame.frame_index,
-                        "camera": list(frame.camera_pose),
-                        "objects": [
-                            {"name": name, "type": kind, "pos": list(pos), "size": list(size)}
-                            for name, kind, (pos, size) in objects
-                        ],
-                        "snitch_label": label,
-                    }
-                )
-            )
+    _write_lines(path, (
+        {
+            "frame": frame.frame_index,
+            "camera": list(frame.camera_pose),
+            "objects": [
+                {"name": name, "type": kind, "pos": list(pos), "size": list(size)}
+                for name, kind, (pos, size) in objects
+            ],
+            "snitch_label": label,
+        }
+        for frame, label, objects in zip(scenario.inputs, scenario.labels, scenario.objects)
+    ))
 
 
 def load_scenario(prefix) -> Scenario:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionEvent, Attributes, EngineError, Percept, Vec2, ancestors, chain_position
+from .core import ActionEvent, Attributes, Box, EngineError, Percept, Vec2, ancestors, chain_position
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import TARGET_TYPE, Scenario
 from .tracker import FrameInput
@@ -112,16 +112,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioRecord:
-    """Everything a scenario produced: truth, labels, events, detections."""
+    """Everything a scenario produced: the ``Scenario`` that trackers read
+    and scoring uses, and the world-coordinate facts behind it."""
 
     frames: int
-    viewport: Vec2
     objects: tuple[ObjectSpec, ...]
-    camera: tuple[Vec2, ...]
+    scenario: Scenario  # equal to what ``load_scenario`` reads back from its files
     truth: tuple[Mapping[str, Vec2], ...]  # world coordinates per frame
-    labels: tuple[str, ...]
-    actions: tuple[ActionEvent, ...]
-    detections: tuple[tuple[Percept, ...], ...]
     visibility: tuple[frozenset[str], ...]  # pre-noise detectable object names
     attachments: tuple[tuple[str, str, int, int], ...]  # (child, parent, start, end)
 
@@ -133,37 +130,8 @@ class ScenarioRecord:
 
     def image_position(self, frame: int, name: str) -> Vec2:
         wx, wy = self.truth[frame][name]
-        cx, cy = self.camera[frame]
+        cx, cy = self.scenario.inputs[frame].camera_pose
         return (wx - cx, wy - cy)
-
-    def frame_inputs(self) -> list[FrameInput]:
-        by_frame: dict[int, list[ActionEvent]] = {}
-        for event in self.actions:
-            by_frame.setdefault(event.frame_index, []).append(event)
-        return [
-            FrameInput(
-                frame_index=f,
-                percepts=self.detections[f],
-                camera_pose=self.camera[f],
-                actions=tuple(by_frame.get(f, ())),
-            )
-            for f in range(self.frames)
-        ]
-
-    def scenario(self) -> Scenario:
-        """What scoring needs, in image coordinates; equal to what
-        ``load_scenario`` reads back from this record's files."""
-        return Scenario(
-            inputs=tuple(self.frame_inputs()),
-            labels=self.labels,
-            objects=tuple([
-                tuple([
-                    (o.name, o.object_type, ((at[o.name][0] - cx, at[o.name][1] - cy), o.size))
-                    for o in self.objects
-                ])
-                for at, (cx, cy) in zip(self.truth, self.camera)
-            ]),
-        )
 
 
 def _lerp_pose(p0: Vec2, p1: Vec2, num: int, den: int) -> Vec2:
@@ -198,6 +166,8 @@ def _validate_noise(noise: NoiseConfig) -> None:
     burst = noise.flicker_burst_length
     if not (isinstance(burst, (int, np.integer)) and burst >= 1):
         raise SimulationError(f"flicker_burst_length must be an integer >= 1, got {burst}")
+    if burst >= 2**63:  # numpy draws burst lengths as int64
+        raise SimulationError(f"flicker_burst_length must be below 2**63, got {burst}")
     if not _finite(noise.ghost_clearance):
         raise SimulationError(f"ghost_clearance must be finite, got {noise.ghost_clearance}")
 
@@ -205,6 +175,8 @@ def _validate_noise(noise: NoiseConfig) -> None:
 def _validate_view(config: ScenarioConfig) -> None:
     if not _finite(*config.viewport):
         raise SimulationError(f"viewport must be finite, got {config.viewport}")
+    if not (config.viewport[0] > 0 and config.viewport[1] > 0):
+        raise SimulationError(f"viewport must be positive, got {config.viewport}")
     if not config.camera:
         raise SimulationError("camera needs at least one waypoint")
     for i, (frame, pose) in enumerate(config.camera):
@@ -283,7 +255,7 @@ def _synthesize(script, objects, config, snitch: str):
     offset_of: dict[str, Vec2] = {}
     attach_start: dict[str, int] = {}
     attach_log: list[tuple[str, str, int, int]] = []
-    actions: list[ActionEvent] = []
+    actions: list[tuple[ActionEvent, ...]] = []  # the events fired in each frame
     trajectory: list[dict[str, Vec2]] = []
     target_contained: list[bool] = []
 
@@ -293,6 +265,7 @@ def _synthesize(script, objects, config, snitch: str):
 
     for f in range(frames):
         # Attachment lifecycle first, mirroring actions-before-alignment.
+        fired: list[ActionEvent] = []
         for i, ev in indexed:
             if ev.kind == "contain" and f == ev.end + 1:
                 if ev.target in parent_of:
@@ -305,7 +278,7 @@ def _synthesize(script, objects, config, snitch: str):
                     position[ev.target][1] - position[ev.subject][1],
                 )
                 attach_start[ev.target] = f
-                actions.append(ActionEvent("contain", (ev.subject, ev.target), f))
+                fired.append(ActionEvent("contain", (ev.subject, ev.target), f))
             elif ev.kind == "uncontain" and f == ev.start:
                 if parent_of.get(ev.target) != ev.subject:
                     raise SimulationError(
@@ -313,9 +286,10 @@ def _synthesize(script, objects, config, snitch: str):
                     )
                 attach_log.append((ev.target, ev.subject, attach_start.pop(ev.target), f))
                 del parent_of[ev.target], offset_of[ev.target]
-                actions.append(ActionEvent("uncontain", (ev.subject, ev.target), f))
+                fired.append(ActionEvent("uncontain", (ev.subject, ev.target), f))
             elif ev.kind == "rotate" and f == ev.start:
-                actions.append(ActionEvent("rotate", (ev.subject,), f))
+                fired.append(ActionEvent("rotate", (ev.subject,), f))
+        actions.append(tuple(fired))
 
         for i, ev in indexed:
             if ev.kind not in MOTION_KINDS or not (ev.start <= f <= ev.end):
@@ -452,12 +426,17 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
     visibility: list[frozenset[str]] = []
     clean: list[list[tuple[str, Attributes]]] = []
     labels: list[str] = []
+    boxes: list[tuple[tuple[str, str, Box], ...]] = []
     for f, shown in enumerate((in_view & ~covered).tolist()):
         positions = trajectory[f]
         cx, cy = camera[f]
+        boxes.append(tuple([
+            (o.name, o.object_type, ((x - cx, y - cy), o.size))
+            for o, (x, y) in zip(objects, positions.values())
+        ]))
         detected = [
-            (o.name, Attributes(o.object_type, (x - cx, y - cy), o.size))
-            for o, (x, y), show in zip(objects, positions.values(), shown)
+            (name, Attributes(kind, *box))
+            for (name, kind, box), show in zip(boxes[f], shown)
             if show
         ]
         visibility.append(frozenset([name for name, _ in detected]))
@@ -468,15 +447,16 @@ def generate(config: ScenarioConfig) -> ScenarioRecord:
         else:
             labels.append("occluded" if target_covered[f] else "visible")
 
+    detections = corrupt(clean, config.noise, config.seed + 7919, config.viewport)
     return ScenarioRecord(
         frames=config.frames,
-        viewport=config.viewport,
         objects=tuple(objects),
-        camera=camera,
+        scenario=Scenario(
+            tuple(map(FrameInput, range(config.frames), detections, camera, actions)),
+            tuple(labels),
+            tuple(boxes),
+        ),
         truth=tuple(trajectory),
-        labels=tuple(labels),
-        actions=tuple(actions),
-        detections=corrupt(clean, config.noise, config.seed + 7919, config.viewport),
         visibility=tuple(visibility),
         attachments=tuple(attach_log),
     )
@@ -495,11 +475,14 @@ def corrupt(
     the kept detections in input order, then the live ghosts, with ids
     counted from 0. Deterministic in the seed. Miss bursts are keyed to the
     object name; burst and ghost lifetimes draw uniformly from
-    1..flicker_burst_length.
+    1..flicker_burst_length. Ghost centers keep 20 px inside each edge of
+    the viewport, so ghosts need one of at least 40 x 40.
     """
     _validate_noise(noise)
-    rng = np.random.default_rng(seed)
     width, height = viewport
+    if noise.ghost_rate > 0 and not (width >= 40.0 and height >= 40.0):
+        raise SimulationError(f"ghosts need a viewport of at least 40 x 40, got {viewport}")
+    rng = np.random.default_rng(seed)
     miss_left: dict[str, int] = {}
     last_seen: dict[str, Vec2] = {}
     ghosts: list[list] = []  # [Attributes, frames_left]
@@ -631,9 +614,13 @@ def _random_layout(rng: np.random.Generator, config: ScenarioConfig) -> tuple[Ob
             else:
                 side = float(DEFAULT_SIZES[object_type] + rng.uniform(-4.0, 4.0))
             size = (side, side)
+            lo = margin + side / 2
+            hi_x, hi_y = width - margin - side / 2, height - margin - side / 2
+            if not (lo <= hi_x and lo <= hi_y):
+                raise SimulationError(f"the random layout does not fit in viewport {config.viewport}")
             for _attempt in range(600):
-                x = float(rng.uniform(margin + side / 2, width - margin - side / 2))
-                y = float(rng.uniform(margin + side / 2, height - margin - side / 2))
+                x = float(rng.uniform(lo, hi_x))
+                y = float(rng.uniform(lo, hi_y))
                 if all(
                     math.hypot(x - p[0], y - p[1]) >= gap + side / 2 + 12.0
                     for p, gap in placed

@@ -61,10 +61,10 @@ def test_criterion_2_noiseless_exactness_on_100_mixed_scenarios():
     videos = []
     for seed in range(100):
         record = generate(build_template("mixed", seed))
-        assert set(record.labels) == {"visible", "occluded", "contained", "carried"}
+        assert set(record.scenario.labels) == {"visible", "occluded", "contained", "carried"}
         assert h1_violations(record) == []
-        run = run_engine_stream(record.frame_inputs(), config)
-        videos.append(score_stream(run.predictions, record.scenario()))
+        run = run_engine_stream(record.scenario.inputs, config)
+        videos.append(score_stream(run.predictions, record.scenario))
     rows, excluded = aggregate(videos)
     elapsed = time.perf_counter() - started
     assert excluded == 0
@@ -90,7 +90,7 @@ def test_criterion_3_engine_beats_heuristic_on_carried_suite():
     engine_videos, heuristic_videos = [], []
     for seed in range(50):
         record = generate(build_template("carried", seed))
-        scenario = record.scenario()
+        scenario = record.scenario
         frames = scenario.inputs
         engine_videos.append(
             score_stream(run_engine_stream(frames, config).predictions, scenario)
@@ -126,7 +126,7 @@ def test_criterion_4_ghost_suppression_and_burst_retention():
         truth_names = {o.name for o in record.objects}
         engine = AnchoringEngine(config)
         seen_ids: set[str] = set()
-        for frame in record.frame_inputs():
+        for frame in record.scenario.inputs:
             engine.step(frame)
             seen_ids.update(a.anchor_id for a in engine.query(ANCHORED))
         ghost_ids = seen_ids - truth_names
@@ -143,7 +143,7 @@ def test_criterion_5_pure_camera_motion_is_equivariant():
     seen_ids: set[str] = set()
     worst = 0.0
     exercised_out_of_view = False
-    for frame in record.frame_inputs():
+    for frame in record.scenario.inputs:
         engine.step(frame)
         for anchor in engine.query(ANCHORED):
             seen_ids.add(anchor.anchor_id)
@@ -172,13 +172,13 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
             Percept(i, p.attributes, p.detector_score) for i, p in enumerate(kept)
         )
 
-    record = dataclasses.replace(
-        record,
-        detections=tuple(
-            strip(percepts, f) for f, percepts in enumerate(record.detections)
+    scenario = dataclasses.replace(
+        record.scenario,
+        inputs=tuple(
+            dataclasses.replace(frame, percepts=strip(frame.percepts, frame.frame_index))
+            for frame in record.scenario.inputs
         ),
     )
-    scenario = record.scenario()
     assert scenario.first_detection_frame() == reveal
 
     run = run_engine_stream(scenario.inputs, config)
@@ -202,15 +202,15 @@ def test_criterion_6_missing_prediction_scoring_on_single_detection_video():
 
     # a video with no detection at all is excluded, not scored
     never = dataclasses.replace(
-        record,
-        detections=tuple(
-            tuple(p for p in percepts if p.attributes.object_type != "snitch")
-            for percepts in record.detections
+        scenario,
+        inputs=tuple(
+            dataclasses.replace(frame, percepts=tuple(
+                p for p in frame.percepts if p.attributes.object_type != "snitch"
+            ))
+            for frame in scenario.inputs
         ),
     )
-    never_scores = score_stream(
-        run_engine_stream(never.frame_inputs(), config).predictions, never.scenario()
-    )
+    never_scores = score_stream(run_engine_stream(never.inputs, config).predictions, never)
     assert not never_scores.scored
     assert aggregate([never_scores])[1] == 1
     print(

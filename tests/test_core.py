@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,11 +218,17 @@ def test_candidates_cannot_be_attached():
         {"kappa_anch": 0.9, "kappa_inf": 0.5},
         {"kappa_inf": 1.5},
         {"field_of_view": (0.0, 240.0)},
+        {"field_of_view": (math.nan, 240.0)},
+        {"field_of_view": (360.0, math.nan)},
     ],
 )
 def test_config_invariants_rejected(kwargs):
     with pytest.raises(ConfigError):
         EngineConfig(**kwargs)
+
+
+def test_an_infinite_field_of_view_is_legal():
+    assert EngineConfig(field_of_view=(math.inf, math.inf)).field_of_view == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,7 @@ def _run(preset, template, seed, noise, tmp_path):
 def _hashes(record, config, tmp_path):
     engine = AnchoringEngine(config)
     world, predictions, outcomes = [], [], []
-    for frame in record.frame_inputs():
+    for frame in record.scenario.inputs:
         outcomes.append(
             [
                 (o.anchor_id, o.new_status, o.new_confidence, o.new_position, o.reason)

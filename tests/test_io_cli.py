@@ -275,6 +275,30 @@ class TestWorldStreams:
         assert path.read_text(encoding="utf-8") == '{"frame":0,"anchors":[]}\n'
 
 
+_BOX = ((50.5, 60.25), (18.0, 18.0))
+_NAN_BOX = ((float("nan"), 60.25), (18.0, 18.0))
+
+
+@pytest.mark.parametrize(
+    "write, items",
+    [
+        (write_detection_stream,
+         sample_frames()[:1] + [FrameInput(2, (Percept(0, Attributes("cone", *_NAN_BOX)),))]),
+        (write_world_stream,
+         [(0, ()), (1, (Anchor("cone0", Attributes("cone", *_NAN_BOX), 0.7, "visible", 1),))]),
+        (write_predictions, [_BOX, _NAN_BOX]),
+        (write_truth_stream,
+         Scenario(tuple(sample_frames()), ("visible", "visible"),
+                  ((("snitch0", "snitch", _BOX),), (("snitch0", "snitch", _NAN_BOX),)))),
+    ],
+    ids=["detections", "world", "predictions", "truth"],
+)
+def test_writers_reject_non_finite_numbers_by_path_and_line(tmp_path, write, items):
+    path = tmp_path / "stream.jsonl"
+    with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}:2: Out of range float"):
+        write(path, items)
+
+
 class TestPredictions:
     def test_round_trip_with_gaps(self, tmp_path):
         path = tmp_path / "pred.jsonl"
@@ -816,6 +840,37 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            pytest.param(["--miss-rate", "0.5", "--burst", str(2**63), "--frames", "60"], None,
+                         r"flicker_burst_length must be below 2\*\*63", id="burst-flag"),
+            pytest.param([], {"seed": 1, "frames": 60,
+                              "noise": {"miss_rate": 0.5, "flicker_burst_length": 2**63}},
+                         r"flicker_burst_length must be below 2\*\*63", id="burst-file"),
+            pytest.param([], {"seed": 1, "frames": 60, "viewport": [100, 100]},
+                         "the random layout does not fit in viewport", id="layout-viewport"),
+            pytest.param([], {"seed": 1, "frames": 10, "viewport": [30, 30], "script": [],
+                              "objects": [{"name": "snitch0", "type": "snitch",
+                                           "size": [10, 10], "start": [15, 15]}],
+                              "noise": {"ghost_rate": 0.5}},
+                         "ghosts need a viewport of at least 40 x 40", id="ghost-viewport"),
+            pytest.param([], {"seed": 1, "frames": 60, "viewport": [0, 0]},
+                         "viewport must be positive", id="empty-viewport"),
+            pytest.param(["--template", "carried", "--jitter-sigma", "1e308", "--frames", "220"],
+                         None, r".*scenario\.detections\.jsonl:\d+: Out of range float",
+                         id="infinite-detections"),
+        ],
+    )
+    def test_simulate_fails_with_one_error_line(self, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            flags = ["--scenario-config", write_config(tmp_path / "scenario.json", config)]
+        assert main(["simulate", *flags, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and re.match(f"error: {message}", lines[0]), err
+        assert "Traceback" not in err
+
     def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
         noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)
         noise_flags = ["--miss-rate", "0.1", "--ghost-rate", "0.05", "--jitter-sigma", "1.5"]
@@ -826,7 +881,7 @@ class TestCli:
                     assert main(["simulate", "--seed", str(seed), "--template", template,
                                  "--out", str(out), *flags]) == 0
                     record = generate(build_template(template, seed, noise=noise))
-                    assert load_scenario(out / "scenario") == record.scenario()
+                    assert load_scenario(out / "scenario") == record.scenario
 
 
 CONE = {"name": "cone0", "type": "cone", "size": [40, 40], "start": [60, 120]}

@@ -210,8 +210,8 @@ class TestResultWriters:
 
 def test_noiseless_suite_scores_perfectly_end_to_end():
     record = generate(build_template("mixed", 3))
-    run = run_engine_stream(record.frame_inputs(), EngineConfig())
-    scores = score_stream(run.predictions, record.scenario())
+    run = run_engine_stream(record.scenario.inputs, EngineConfig())
+    scores = score_stream(run.predictions, record.scenario)
     for bucket in ("visible", "occluded", "contained", "carried", "overall"):
         assert scores.mean_iou[bucket] == pytest.approx(1.0)
         assert scores.mean_l2[bucket] == pytest.approx(0.0, abs=1e-9)

@@ -43,14 +43,15 @@ class TestDeterminism:
 class TestNoiselessSemantics:
     def test_static_scene_all_visible_and_detections_equal_truth(self):
         record = small_static()
-        assert set(record.labels) == {"visible"}
+        assert set(record.scenario.labels) == {"visible"}
         for f in range(record.frames):
-            detected = {p.attributes.object_type: p for p in record.detections[f]}
-            assert len(record.detections[f]) == len(record.objects)
+            percepts = record.scenario.inputs[f].percepts
+            detected = {p.attributes.object_type: p for p in percepts}
+            assert len(percepts) == len(record.objects)
             for spec in record.objects:
                 percept = detected[spec.object_type] if spec.object_type in detected else None
                 by_name = [
-                    p for p in record.detections[f]
+                    p for p in percepts
                     if p.attributes.position == record.image_position(f, spec.name)
                 ]
                 assert by_name, f"{spec.name} missing at frame {f}"
@@ -65,10 +66,12 @@ class TestNoiselessSemantics:
             EventSpec("slide", "cone0", 50, 90, dest=(180.0, 60.0)),
         )
         record = generate(ScenarioConfig(seed=1, frames=120, objects=objects, script=script))
-        assert record.labels[60] == "carried"
-        assert "contained" in record.labels
-        assert record.actions[0].name == "contain"
-        assert record.actions[0].frame_index == 41
+        labels = record.scenario.labels
+        actions = [a for frame in record.scenario.inputs for a in frame.actions]
+        assert labels[60] == "carried"
+        assert "contained" in labels
+        assert actions[0].name == "contain"
+        assert actions[0].frame_index == 41
         # carried frames are exactly the contained frames where the target moved
         for f in range(1, 120):
             moved = record.truth[f]["snitch0"] != record.truth[f - 1]["snitch0"]
@@ -78,9 +81,9 @@ class TestNoiselessSemantics:
             expect = (
                 "carried" if contained and moved
                 else "contained" if contained
-                else record.labels[f]
+                else labels[f]
             )
-            assert record.labels[f] == expect
+            assert labels[f] == expect
 
     def test_label_rule_rederivable_from_geometry_and_events(self):
         record = generate(build_template("mixed", 9))
@@ -98,7 +101,7 @@ class TestNoiselessSemantics:
                 want = "occluded"
             else:
                 want = "visible"
-            assert record.labels[f] == want, f"frame {f}"
+            assert record.scenario.labels[f] == want, f"frame {f}"
 
     def test_containment_implies_inside_container_footprint(self):
         record = generate(build_template("mixed", 2))
@@ -142,7 +145,8 @@ class TestTemplatesAreCompliant:
         )
         config = ScenarioConfig(seed=4, objects=objects)
         record = generate(config)
-        assert not {a.name for a in record.actions} & {"contain", "uncontain"}
+        actions = {a.name for frame in record.scenario.inputs for a in frame.actions}
+        assert not actions & {"contain", "uncontain"}
         assert h1_violations(record) == []
         assert record == generate(config)
 
@@ -313,6 +317,21 @@ class TestScriptValidation:
             pytest.param(lambda objects: generate(build_template(
                 "carried", 1, noise=NoiseConfig(miss_rate=0.2, flicker_burst_length=2.5))),
                 "flicker_burst_length must be an integer >= 1, got 2.5", id="fractional-burst"),
+            pytest.param(lambda objects: generate(build_template(
+                "carried", 1, noise=NoiseConfig(miss_rate=0.2, flicker_burst_length=2**63))),
+                r"flicker_burst_length must be below 2\*\*63, got 9223372036854775808",
+                id="burst-beyond-int64"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, objects=objects, script=(), viewport=(0.0, 0.0))),
+                r"viewport must be positive, got \(0.0, 0.0\)", id="empty-viewport"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=1, frames=60, viewport=(100.0, 100.0))),
+                r"the random layout does not fit in viewport \(100.0, 100.0\)",
+                id="random-layout-too-large"),
+            pytest.param(lambda objects: corrupt(
+                [[]], NoiseConfig(ghost_rate=0.5), seed=0, viewport=(30.0, 30.0)),
+                r"ghosts need a viewport of at least 40 x 40, got \(30.0, 30.0\)",
+                id="no-room-for-ghosts"),
             pytest.param(lambda objects: generate(ScenarioConfig(
                 seed=0, frames=1, objects=objects, script=())),
                 "need at least two frames", id="one-frame"),
@@ -404,6 +423,14 @@ class TestCorrupt:
             a.position for frame in frames for _name, a in frame
         ]
 
+    def test_extreme_bursts_and_viewports_still_draw(self):
+        cube = [("cube0", Attributes("cube", (10.0, 10.0), (10.0, 10.0)))]
+        huge = NoiseConfig(miss_rate=1.0, flicker_burst_length=2**63 - 1)
+        assert corrupt([cube] * 3, huge, seed=0) == ((), (), ())
+        # Ghost centers keep 20 px from each edge: a 40 x 40 view has one spot.
+        out = corrupt([[]] * 3, NoiseConfig(ghost_rate=1.0), seed=0, viewport=(40.0, 40.0))
+        assert {p.attributes.position for frame in out for p in frame} == {(20.0, 20.0)}
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(SimulationError):
             corrupt([], NoiseConfig(miss_rate=1.5), seed=0)
@@ -437,14 +464,14 @@ class TestCameraOracle:
     def test_integer_waypoints_interpolate_exactly(self):
         record = generate(build_template("camera", 1))
         for f in range(50, 150):
-            assert record.camera[f] == (float(f - 50), 0.0)
+            assert record.scenario.inputs[f].camera_pose == (float(f - 50), 0.0)
 
 
 class TestTrackingOnTemplates:
     def test_noiseless_tracking_is_exact_after_anchoring(self):
         record = generate(build_template("mixed", 13))
         engine_config = EngineConfig()
-        run = run_engine_stream(record.frame_inputs(), engine_config, check_invariants=True)
+        run = run_engine_stream(record.scenario.inputs, engine_config, check_invariants=True)
         snitch = record.target_name()
         for f, (pos, _size) in enumerate(b for b in run.predictions):
             truth = record.image_position(f, snitch)
@@ -457,17 +484,21 @@ def record_digest(record) -> str:
     Visibility is sorted: a frozenset's iteration order depends on
     ``PYTHONHASHSEED``."""
     payload = {
-        "labels": record.labels,
+        "labels": record.scenario.labels,
         "visibility": [sorted(names) for names in record.visibility],
         "detections": [
             [
                 [p.percept_id, p.attributes.object_type, p.attributes.position,
                  p.attributes.size, p.detector_score]
-                for p in frame
+                for p in frame.percepts
             ]
-            for frame in record.detections
+            for frame in record.scenario.inputs
         ],
-        "actions": [[a.name, a.arguments, a.frame_index] for a in record.actions],
+        "actions": [
+            [a.name, a.arguments, a.frame_index]
+            for frame in record.scenario.inputs
+            for a in frame.actions
+        ],
         "attachments": record.attachments,
         "truth": [sorted(positions.items()) for positions in record.truth],
     }

@@ -143,7 +143,7 @@ def test_a_contain_on_a_model_holding_a_cycle_raises_instead_of_hanging():
 @given(seed=st.integers(0, 2**16), order=st.randoms(use_true_random=False))
 def test_output_does_not_depend_on_percept_order(seed, order):
     noise = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
-    frames = generate(build_template("random", seed, frames=100, noise=noise)).frame_inputs()
+    frames = generate(build_template("random", seed, frames=100, noise=noise)).scenario.inputs
     shuffled = [
         replace(f, percepts=tuple(order.sample(f.percepts, len(f.percepts)))) for f in frames
     ]
@@ -434,7 +434,7 @@ def test_invariants_hold_under_noise_and_stray_actions(
 ):
     noise = NoiseConfig(miss_rate=miss_rate, ghost_rate=ghost_rate,
                         jitter_sigma=jitter_sigma, flicker_burst_length=burst)
-    frames = generate(build_template("random", seed, frames=200, noise=noise)).frame_inputs()
+    frames = list(generate(build_template("random", seed, frames=200, noise=noise)).scenario.inputs)
     for t, name, parent, child in events:
         extra = ActionEvent(name, (parent, child), t)
         frames[t] = replace(frames[t], actions=frames[t].actions + (extra,))
