@@ -6,8 +6,9 @@ from .core import (
     OCCLUDED,
     OUT_OF_VIEW,
     VISIBLE,
+    CONTAIN,
+    UNCONTAIN,
     ActionEvent,
-    ActionRule,
     Anchor,
     Attributes,
     ConfigError,
@@ -34,12 +35,9 @@ from .hypothesis import (
     update_confidence,
 )
 from .tracker import (
-    ANCHORED,
-    INFERABLE,
     AnchoringEngine,
     FrameInput,
     HypothesisOutcome,
-    infer_relations,
     predict_target,
     query,
     step,

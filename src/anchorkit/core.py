@@ -180,45 +180,20 @@ class ActionEvent:
     frame_index: int = 0
 
 
-@dataclass(frozen=True)
-class ActionRule:
-    """Maps an action name to an attachment effect on its argument list.
-
-    ``attach`` binds ``arguments[child_arg]`` below ``arguments[parent_arg]``;
-    ``detach`` releases ``arguments[child_arg]`` from its parent.
-    """
-
-    action_name: str
-    effect: str  # "attach" | "detach"
-    child_arg: int
-    parent_arg: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.effect not in ("attach", "detach"):
-            raise ConfigError(f"unknown action effect {self.effect!r}")
-        if self.child_arg < 0:
-            raise ConfigError("child_arg must be >= 0")
-        if self.effect == "attach":
-            if self.parent_arg is None or self.parent_arg < 0:
-                raise ConfigError("attach rule requires a parent_arg >= 0")
-            if self.parent_arg == self.child_arg:
-                raise ConfigError("attach rule must use distinct argument slots")
-
-
-DEFAULT_ACTION_RULES = (
-    ActionRule("contain", "attach", child_arg=1, parent_arg=0),
-    ActionRule("uncontain", "detach", child_arg=1),
-)
+# The two actions with an effect, as in LA-CATER: ``contain(container,
+# object)`` attaches the object below its container, ``uncontain`` frees it.
+CONTAIN = "contain"
+UNCONTAIN = "uncontain"
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tunable thresholds and the action-rule table.
+    """Tunable thresholds.
 
     ``tau`` is the maximum alignment cost for accepting a percept-anchor
     match. ``psi_mismatch`` multiplies the cost when object types differ
-    (1 on a type match). ``kappa_anch`` gates hypothesis reasoning,
-    ``kappa_inf`` gates world-state inference.
+    (1 on a type match). ``kappa_anch`` gates hypothesis reasoning and the
+    anchors that ``tracker.query`` reports.
     """
 
     tau: float = 6500.0
@@ -226,9 +201,7 @@ class EngineConfig:
     conf_inc: float = 0.1
     conf_dec: float = 0.1
     kappa_anch: float = 0.1
-    kappa_inf: float = 0.1
     field_of_view: Vec2 = (360.0, 240.0)
-    action_rules: tuple[ActionRule, ...] = DEFAULT_ACTION_RULES
 
     def __post_init__(self) -> None:
         if not (self.tau > 0):
@@ -237,14 +210,15 @@ class EngineConfig:
             raise ConfigError("psi_mismatch must be >= 1")
         if not (0 < self.conf_inc < 1) or not (0 < self.conf_dec < 1):
             raise ConfigError("conf_inc and conf_dec must lie in (0, 1)")
-        if not (0 < self.kappa_anch <= self.kappa_inf <= 1):
-            raise ConfigError("thresholds must satisfy 0 < kappa_anch <= kappa_inf <= 1")
+        if not (0 < self.kappa_anch <= 1):
+            raise ConfigError("kappa_anch must lie in (0, 1]")
         if not (self.field_of_view[0] > 0 and self.field_of_view[1] > 0):
             raise ConfigError("field_of_view must be positive")
 
 
-def _finite_vec(v: Vec2) -> bool:
-    return math.isfinite(v[0]) and math.isfinite(v[1])
+def all_finite(*values: float) -> bool:
+    """True when no value is NaN or infinite."""
+    return all(map(math.isfinite, values))
 
 
 def _check_track(track: Anchor, is_candidate: bool, out: list[str]) -> None:
@@ -253,9 +227,10 @@ def _check_track(track: Anchor, is_candidate: bool, out: list[str]) -> None:
         out.append(f"{aid}: confidence {track.confidence} outside [0, 1]")
     if track.status not in STATUSES:
         out.append(f"{aid}: unknown status {track.status!r}")
-    if not _finite_vec(track.attributes.position):
+    if not all_finite(*track.attributes.position):
         out.append(f"{aid}: non-finite position")
-    if track.attributes.size[0] <= 0 or track.attributes.size[1] <= 0:
+    w, h = track.attributes.size
+    if not (w > 0 and h > 0):
         out.append(f"{aid}: size components must be > 0")
     has_parent = track.parent is not None
     has_offset = track.parent_offset is not None

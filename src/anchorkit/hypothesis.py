@@ -8,9 +8,11 @@ from typing import Sequence
 
 from .core import (
     ATTACHED,
+    CONTAIN,
     LOST,
     OCCLUDED,
     OUT_OF_VIEW,
+    UNCONTAIN,
     ActionEvent,
     Anchor,
     Box,
@@ -58,7 +60,8 @@ def update_confidence(
 
 
 def boxes_overlap(box_a: Box, box_b: Box) -> bool:
-    """True when the boxes share positive area (touching edges do not count)."""
+    """True when the boxes share positive area (touching edges do not count):
+    the reference that tests compare ``classify_unmatched`` against."""
     width, height = box_intersection(box_a, box_b)
     return width > 0.0 and height > 0.0
 
@@ -109,42 +112,33 @@ def _replace_anchor(model: WorldModel, updated: Anchor) -> WorldModel:
     return replace(model, anchors=anchors)
 
 
-def apply_action(model: WorldModel, event: ActionEvent, config: EngineConfig) -> WorldModel:
-    """Apply the attachment effect of one action event, if a rule exists.
+def apply_action(model: WorldModel, event: ActionEvent) -> WorldModel:
+    """Apply the attachment effect of one action event.
 
-    Unknown action names are a no-op. Attaching freezes the child's offset to
-    its parent at the current estimates and never creates a second parent or
-    a cycle: an attach whose parent is the child or has it among its
-    ``core.ancestors`` raises ``ActionError``, as do unknown anchors and
-    missing arguments. A cycle already in the model raises ``EngineError``.
+    ``contain(container, object)`` attaches the object below its container,
+    frozen at their current offset; ``uncontain`` frees ``arguments[1]``;
+    any other name is a no-op. Fewer than two arguments, an unknown anchor
+    or an attach that would close a cycle (``core.ancestors``) raise
+    ``ActionError``; a cycle already in the model raises ``EngineError``.
     """
-    rule = next(
-        (r for r in config.action_rules if r.action_name == event.name), None
-    )
-    if rule is None:
+    if event.name != CONTAIN and event.name != UNCONTAIN:
         return model
-
     args = event.arguments
-    needed = (rule.child_arg,) if rule.effect == "detach" else (rule.child_arg, rule.parent_arg)
-    for idx in needed:
-        if idx >= len(args):
-            raise ActionError(
-                f"action {event.name!r}: argument index {idx} out of range for {args!r}"
-            )
+    if len(args) < 2:
+        raise ActionError(f"action {event.name!r} needs two arguments, got {args!r}")
 
     by_id = model.anchor_lookup()
-    child_id = args[rule.child_arg]
+    parent_id, child_id = args[0], args[1]
     if child_id not in by_id:
         raise ActionError(f"action {event.name!r}: unknown anchor {child_id!r}")
     child = by_id[child_id]
 
-    if rule.effect == "detach":
+    if event.name == UNCONTAIN:
         if child.parent is None:
             return model
         freed = child._replace(parent=None, parent_offset=None, status=LOST)
         return _replace_anchor(model, freed)
 
-    parent_id = args[rule.parent_arg]
     if parent_id not in by_id:
         raise ActionError(f"action {event.name!r}: unknown anchor {parent_id!r}")
     parent_of = {aid: a.parent for aid, a in by_id.items() if a.parent in by_id}

@@ -25,22 +25,29 @@ camera of line k of its detection stream, and a prediction's frame is its
 not start with ``cand``: the engine reserves that prefix for the ids of
 provisional tracks.
 
+Of the actions, only ``contain`` and ``uncontain`` change the world model
+(``hypothesis.apply_action``); others are read and kept but do nothing.
+
 Config files (engine and scenario) are one JSON object each, read by
 ``read_config_file``. Their fields pass the same checks as stream fields,
-and a key outside the known set is an error.
+and a key outside the known set is an error. An engine config takes
+``tau``, ``psi_mismatch``, ``conf_inc``, ``conf_dec``, ``kappa_anch`` and
+``field_of_view``. Every stream writer replaces its file only once the
+whole stream is written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import (
     CANDIDATE_PREFIX,
     ActionEvent,
-    ActionRule,
     Anchor,
     Attributes,
     Box,
@@ -54,14 +61,13 @@ from .metrics import SUBTASKS, TARGET_TYPE, Scenario
 from .tracker import FrameInput
 
 # Default thresholds suit clean synthetic detections; the assembly preset
-# carries the high-noise settings (slower anchoring, stricter inference gate).
+# carries the high-noise settings (slower anchoring, a higher anchoring gate).
 PRESETS: dict[str, dict] = {
     "benchmark": {},
     "assembly": {
         "conf_inc": 0.05,
         "conf_dec": 0.1,
         "kappa_anch": 0.5,
-        "kappa_inf": 0.8,
     },
 }
 
@@ -195,14 +201,26 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 def _write_lines(path, payloads: Iterable[dict]) -> None:
     """Write one compact JSON line per payload. A non-finite number raises
-    ``StreamFormatError`` naming ``path:line``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line_no, payload in enumerate(payloads, start=1):
-            try:
-                text = _ENCODER.encode(payload)
-            except ValueError as exc:
-                raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
-            handle.write(text + "\n")
+    ``StreamFormatError`` naming ``path:line``.
+
+    The lines go to a temporary file beside ``path`` that replaces it only
+    once every line is written, so a failed write leaves no partial stream
+    and keeps any file already at ``path``.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            for line_no, payload in enumerate(payloads, start=1):
+                try:
+                    text = _ENCODER.encode(payload)
+                except ValueError as exc:
+                    raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
+                handle.write(text + "\n")
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -403,26 +421,9 @@ def load_scenario(prefix) -> Scenario:
 # Engine configuration
 
 
-_ACTION_RULE_KEYS = dict.fromkeys(("action", "effect", "child_arg", "parent_arg"))
-
-
-def _action_rule(entry: dict, label: str) -> ActionRule:
-    check_keys(entry, _ACTION_RULE_KEYS, f"{label}.")
-    parent_arg = entry.get("parent_arg")
-    return ActionRule(
-        action_name=string(entry.get("action"), f"{label}.action"),
-        effect=string(entry.get("effect"), f"{label}.effect"),
-        child_arg=integer(entry.get("child_arg"), f"{label}.child_arg"),
-        parent_arg=None if parent_arg is None else integer(parent_arg, f"{label}.parent_arg"),
-    )
-
-
 _ENGINE_FIELDS = {
-    **dict.fromkeys(
-        ("tau", "psi_mismatch", "conf_inc", "conf_dec", "kappa_anch", "kappa_inf"), number
-    ),
+    **dict.fromkeys(("tau", "psi_mismatch", "conf_inc", "conf_dec", "kappa_anch"), number),
     "field_of_view": pair,
-    "action_rules": list_of(_action_rule),
 }
 
 

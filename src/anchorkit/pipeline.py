@@ -8,7 +8,7 @@ from typing import Sequence
 from .core import Anchor, Box, EngineConfig
 from .heuristic import HeuristicTracker
 from .metrics import TARGET_TYPE, BucketStats, Scenario, VideoScores, aggregate, score_stream
-from .tracker import ANCHORED, AnchoringEngine, FrameInput
+from .tracker import AnchoringEngine, FrameInput
 
 TRACKERS = ("aapa", "heuristic")
 
@@ -32,7 +32,7 @@ def run_engine_stream(
     world: list[tuple[int, tuple[Anchor, ...]]] = []
     for frame in frames:
         engine.step(frame)
-        world.append((frame.frame_index, tuple(engine.query(ANCHORED))))
+        world.append((frame.frame_index, tuple(engine.query())))
         target = engine.predict(TARGET_TYPE)
         predictions.append(target.box if target is not None else None)
     return TrackRun(predictions=predictions, world=world)

@@ -24,7 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionEvent, Attributes, Box, EngineError, Percept, Vec2, ancestors, chain_position
+from .core import (
+    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, EngineError, Percept, Vec2,
+    all_finite, ancestors, chain_position,
+)
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import TARGET_TYPE, Scenario
 from .tracker import FrameInput
@@ -152,10 +155,6 @@ def _camera_pose(waypoints: Sequence[tuple[int, Vec2]], frame: int) -> Vec2:
     return waypoints[-1][1]
 
 
-def _finite(*values: float) -> bool:
-    return all(map(math.isfinite, values))
-
-
 def _validate_noise(noise: NoiseConfig) -> None:
     for name in ("miss_rate", "ghost_rate"):
         rate = getattr(noise, name)
@@ -168,19 +167,19 @@ def _validate_noise(noise: NoiseConfig) -> None:
         raise SimulationError(f"flicker_burst_length must be an integer >= 1, got {burst}")
     if burst >= 2**63:  # numpy draws burst lengths as int64
         raise SimulationError(f"flicker_burst_length must be below 2**63, got {burst}")
-    if not _finite(noise.ghost_clearance):
+    if not all_finite(noise.ghost_clearance):
         raise SimulationError(f"ghost_clearance must be finite, got {noise.ghost_clearance}")
 
 
 def _validate_view(config: ScenarioConfig) -> None:
-    if not _finite(*config.viewport):
+    if not all_finite(*config.viewport):
         raise SimulationError(f"viewport must be finite, got {config.viewport}")
     if not (config.viewport[0] > 0 and config.viewport[1] > 0):
         raise SimulationError(f"viewport must be positive, got {config.viewport}")
     if not config.camera:
         raise SimulationError("camera needs at least one waypoint")
     for i, (frame, pose) in enumerate(config.camera):
-        if not _finite(*pose):
+        if not all_finite(*pose):
             raise SimulationError(f"camera waypoint {i}: pose must be finite, got {pose}")
         if i and frame <= config.camera[i - 1][0]:
             raise SimulationError(
@@ -197,7 +196,7 @@ def _validate_objects(objects: Sequence[ObjectSpec]) -> int:
     if len(targets) != 1:
         raise SimulationError(f"exactly one {TARGET_TYPE} required, got {len(targets)}")
     for spec in objects:
-        if not _finite(*spec.size, *spec.start):
+        if not all_finite(*spec.size, *spec.start):
             raise SimulationError(f"object {spec.name!r} has a non-finite size or start")
         if spec.size[0] <= 0 or spec.size[1] <= 0:
             raise SimulationError(f"object {spec.name!r} has non-positive size")
@@ -220,7 +219,7 @@ def _validate_script(
             raise SimulationError(f"event {i}: {ev.kind} requires a destination")
         for field in ("dest", "offset"):
             value = getattr(ev, field)
-            if value is not None and not _finite(*value):
+            if value is not None and not all_finite(*value):
                 raise SimulationError(f"event {i}: {field} must be finite, got {value}")
         if ev.kind in ("contain", "uncontain"):
             if ev.target is None or ev.target not in by_name:
@@ -278,7 +277,7 @@ def _synthesize(script, objects, config, snitch: str):
                     position[ev.target][1] - position[ev.subject][1],
                 )
                 attach_start[ev.target] = f
-                fired.append(ActionEvent("contain", (ev.subject, ev.target), f))
+                fired.append(ActionEvent(CONTAIN, (ev.subject, ev.target), f))
             elif ev.kind == "uncontain" and f == ev.start:
                 if parent_of.get(ev.target) != ev.subject:
                     raise SimulationError(
@@ -286,7 +285,7 @@ def _synthesize(script, objects, config, snitch: str):
                     )
                 attach_log.append((ev.target, ev.subject, attach_start.pop(ev.target), f))
                 del parent_of[ev.target], offset_of[ev.target]
-                fired.append(ActionEvent("uncontain", (ev.subject, ev.target), f))
+                fired.append(ActionEvent(UNCONTAIN, (ev.subject, ev.target), f))
             elif ev.kind == "rotate" and f == ev.start:
                 fired.append(ActionEvent("rotate", (ev.subject,), f))
         actions.append(tuple(fired))

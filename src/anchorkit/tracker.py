@@ -1,8 +1,8 @@
 """Per-frame engine cycle: compensate, apply actions, align, reason, maintain.
 
 ``step`` is a pure function on the world model; ``AnchoringEngine`` wraps it
-for stream processing. ``query`` exposes confidence-filtered views and
-``infer_relations`` derives attachment and overlap facts.
+for stream processing. ``query`` lists the anchors at the anchoring gate and
+``predict_target`` picks the best estimate of one object type.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ from .core import (
 from .hypothesis import (
     ActionError,
     apply_action,
-    boxes_overlap,
     classify_unmatched,
     propagate_attachments,
     update_confidence,
 )
-
-ANCHORED = "anchored"
-INFERABLE = "inferable"
 
 REASON_MATCHED = "matched"
 REASON_OCCLUDED = "occluder_overlap"
@@ -159,7 +155,7 @@ def step(
     # resolve (pruned anchors, malformed annotations) are skipped, not fatal.
     for event in frame.actions:
         try:
-            work = apply_action(work, event, config)
+            work = apply_action(work, event)
         except ActionError:
             continue
 
@@ -299,36 +295,9 @@ def step(
     return new_model, outcomes
 
 
-def query(model: WorldModel, config: EngineConfig, level: str = ANCHORED) -> list[Anchor]:
-    """Anchors above the requested confidence gate, in anchoring order."""
-    if level == ANCHORED:
-        threshold = config.kappa_anch
-    elif level == INFERABLE:
-        threshold = config.kappa_inf
-    else:
-        raise EngineError(f"unknown query level {level!r}")
-    return [a for a in model.anchors if a.confidence >= threshold]
-
-
-def infer_relations(model: WorldModel, config: EngineConfig) -> list[tuple[str, str, str]]:
-    """Attachment facts for every edge plus overlap facts between inferable anchors.
-
-    Returns ("attached", child, parent) and ("overlaps", a, b) triples in a
-    deterministic order (sorted by anchor id; overlap pairs reported once
-    with a < b).
-    """
-    facts: list[tuple[str, str, str]] = []
-    attached = sorted(
-        (a.anchor_id, a.parent) for a in model.anchors if a.parent is not None
-    )
-    facts.extend(("attached", child, parent) for child, parent in attached)
-
-    inferable = sorted(query(model, config, INFERABLE), key=lambda a: a.anchor_id)
-    for i, first in enumerate(inferable):
-        for second in inferable[i + 1 :]:
-            if boxes_overlap(first.box, second.box):
-                facts.append(("overlaps", first.anchor_id, second.anchor_id))
-    return facts
+def query(model: WorldModel, config: EngineConfig) -> list[Anchor]:
+    """Anchors at the anchoring gate ``kappa_anch``, in anchoring order."""
+    return [a for a in model.anchors if a.confidence >= config.kappa_anch]
 
 
 def predict_target(
@@ -366,8 +335,8 @@ class AnchoringEngine:
         )
         return outcomes
 
-    def query(self, level: str = ANCHORED) -> list[Anchor]:
-        return query(self.model, self.config, level)
+    def query(self) -> list[Anchor]:
+        return query(self.model, self.config)
 
     def predict(self, target_type: str) -> Anchor | None:
         return predict_target(self.model, self.config, target_type)

@@ -19,7 +19,7 @@ from anchorkit.io_jsonl import load_engine_config, load_scenario
 from anchorkit.metrics import aggregate, score_stream
 from anchorkit.pipeline import run_engine_stream, run_heuristic_stream
 from anchorkit.simulate import NoiseConfig, build_template, generate, h1_violations
-from anchorkit.tracker import ANCHORED, AnchoringEngine
+from anchorkit.tracker import AnchoringEngine
 from anchorkit.hypothesis import update_confidence
 from anchorkit.core import Anchor, Attributes, LOST, OCCLUDED
 
@@ -128,7 +128,7 @@ def test_criterion_4_ghost_suppression_and_burst_retention():
         seen_ids: set[str] = set()
         for frame in record.scenario.inputs:
             engine.step(frame)
-            seen_ids.update(a.anchor_id for a in engine.query(ANCHORED))
+            seen_ids.update(a.anchor_id for a in engine.query())
         ghost_ids = seen_ids - truth_names
         assert ghost_ids == set(), f"seed {seed}: ghost anchors {ghost_ids}"
         assert seen_ids == truth_names, f"seed {seed}: identity switches {seen_ids ^ truth_names}"
@@ -145,7 +145,7 @@ def test_criterion_5_pure_camera_motion_is_equivariant():
     exercised_out_of_view = False
     for frame in record.scenario.inputs:
         engine.step(frame)
-        for anchor in engine.query(ANCHORED):
+        for anchor in engine.query():
             seen_ids.add(anchor.anchor_id)
             truth = record.image_position(frame.frame_index, anchor.anchor_id)
             estimate = anchor.attributes.position

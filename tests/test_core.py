@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from anchorkit.core import (
     ATTACHED,
     VISIBLE,
-    ActionRule,
     Anchor,
     Attributes,
     ConfigError,
@@ -17,6 +16,7 @@ from anchorkit.core import (
     EngineError,
     Percept,
     WorldModel,
+    all_finite,
     ancestors,
     validate_world_model,
 )
@@ -200,6 +200,12 @@ def test_bad_geometry_and_confidence_reported():
     assert "d0: unknown status 'hidden'" in violations
 
 
+@pytest.mark.parametrize("size", [(math.nan, 10.0), (10.0, math.nan), (10.0, 0.0)])
+def test_nan_or_non_positive_size_reported(size):
+    model = WorldModel(anchors=(make_anchor("a0", size=size),))
+    assert validate_world_model(model) == ["a0: size components must be > 0"]
+
+
 def test_candidates_cannot_be_attached():
     cand = make_anchor("cand0", status=ATTACHED, parent="cube0", offset=(0.0, 0.0))
     model = WorldModel(anchors=(make_anchor("cube0"),), candidates=(cand,))
@@ -215,8 +221,8 @@ def test_candidates_cannot_be_attached():
         {"conf_inc": 0.0},
         {"conf_dec": 1.0},
         {"kappa_anch": 0.0},
-        {"kappa_anch": 0.9, "kappa_inf": 0.5},
-        {"kappa_inf": 1.5},
+        {"kappa_anch": 1.5},
+        {"kappa_anch": math.nan},
         {"field_of_view": (0.0, 240.0)},
         {"field_of_view": (math.nan, 240.0)},
         {"field_of_view": (360.0, math.nan)},
@@ -232,21 +238,20 @@ def test_an_infinite_field_of_view_is_legal():
 
 
 @pytest.mark.parametrize(
-    "effect, child_arg, parent_arg, message",
+    "values, expected",
     [
-        ("move", 0, 1, "unknown action effect 'move'"),
-        ("detach", -1, None, "child_arg must be >= 0"),
-        ("attach", 0, None, "attach rule requires a parent_arg >= 0"),
-        ("attach", 0, -1, "attach rule requires a parent_arg >= 0"),
-        ("attach", 1, 1, "attach rule must use distinct argument slots"),
+        ((), True),
+        ((0.0, -1e308, 5e-324), True),
+        ((1.0, math.nan), False),
+        ((math.inf,), False),
+        ((-math.inf, 2.0), False),
     ],
 )
-def test_action_rule_invariants_rejected(effect, child_arg, parent_arg, message):
-    with pytest.raises(ConfigError, match=message):
-        ActionRule("stick", effect, child_arg, parent_arg)
+def test_all_finite(values, expected):
+    assert all_finite(*values) is expected
 
 
 def test_config_defaults_are_valid():
     config = EngineConfig()
     assert config.tau == 6500.0
-    assert config.kappa_anch <= config.kappa_inf
+    assert 0 < config.kappa_anch <= 1

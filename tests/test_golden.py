@@ -18,7 +18,7 @@ import pytest
 
 from anchorkit.io_jsonl import load_engine_config, write_predictions, write_world_stream
 from anchorkit.simulate import NoiseConfig, build_template, generate, scenario_config_from_json
-from anchorkit.tracker import ANCHORED, AnchoringEngine
+from anchorkit.tracker import AnchoringEngine
 
 NOISY = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
 
@@ -138,7 +138,7 @@ def _hashes(record, config, tmp_path):
                 for o in engine.step(frame)
             ]
         )
-        world.append((frame.frame_index, tuple(engine.query(ANCHORED))))
+        world.append((frame.frame_index, tuple(engine.query())))
         target = engine.predict("snitch")
         predictions.append(target.box if target is not None else None)
     world_path = tmp_path / "world.jsonl"

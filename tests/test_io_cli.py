@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorkit.cli import main
-from anchorkit.core import ATTACHED, ActionRule, Anchor, Attributes, ConfigError, EngineConfig
+from anchorkit.core import ATTACHED, Anchor, Attributes, ConfigError, EngineConfig
 from anchorkit.io_jsonl import (
     StreamFormatError,
     load_engine_config,
@@ -297,6 +297,17 @@ def test_writers_reject_non_finite_numbers_by_path_and_line(tmp_path, write, ite
     path = tmp_path / "stream.jsonl"
     with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}:2: Out of range float"):
         write(path, items)
+    assert list(tmp_path.iterdir()) == []  # no partial stream, no temporary file
+
+
+def test_a_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "p.jsonl"
+    write_predictions(path, [_BOX])
+    before = path.read_bytes()
+    with pytest.raises(StreamFormatError):
+        write_predictions(path, [_BOX, _NAN_BOX])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestPredictions:
@@ -509,29 +520,17 @@ class TestEngineConfigLoading:
         benchmark = load_engine_config("benchmark")
         assert benchmark.tau == 6500.0 and benchmark.kappa_anch == 0.1
         assembly = load_engine_config("assembly")
-        assert assembly.kappa_anch == 0.5 and assembly.kappa_inf == 0.8
+        assert assembly.kappa_anch == 0.5
         assert assembly.conf_inc == 0.05 and assembly.conf_dec == 0.1
 
     def test_file_round_trip(self, tmp_path):
         path = write_config(tmp_path / "config.json", {
             "tau": 900, "psi_mismatch": 2.0, "conf_inc": 0.2, "conf_dec": 0.3,
-            "kappa_anch": 0.2, "kappa_inf": 0.4, "field_of_view": [640, 480.5],
-            "action_rules": [
-                {"action": "contain", "effect": "attach", "child_arg": 1, "parent_arg": 0},
-                {"action": "uncontain", "effect": "detach", "child_arg": 1},
-                {"action": "insert", "effect": "attach", "child_arg": 0, "parent_arg": 1},
-                {"action": "release", "effect": "detach", "child_arg": 0, "parent_arg": None},
-            ],
+            "kappa_anch": 0.2, "field_of_view": [640, 480.5],
         })
         assert load_engine_config(path) == EngineConfig(
             tau=900.0, psi_mismatch=2.0, conf_inc=0.2, conf_dec=0.3,
-            kappa_anch=0.2, kappa_inf=0.4, field_of_view=(640.0, 480.5),
-            action_rules=(
-                ActionRule("contain", "attach", child_arg=1, parent_arg=0),
-                ActionRule("uncontain", "detach", child_arg=1),
-                ActionRule("insert", "attach", child_arg=0, parent_arg=1),
-                ActionRule("release", "detach", child_arg=0),
-            ),
+            kappa_anch=0.2, field_of_view=(640.0, 480.5),
         )
 
     def test_unknown_spec_rejected(self, tmp_path):
@@ -554,13 +553,17 @@ class TestEngineConfigLoading:
             ('{"tau": 1' + "0" * 400 + "}", "tau must be a finite number"),
             ({"tau": -3}, "tau must be > 0"),
             ({"field_of_view": [1, "x"]}, "field_of_view must be a pair"),
-            ({"action_rules": 5}, "action_rules must be a list of objects"),
+            # The deleted action-rule table and inference gate left no config keys.
+            ({"action_rules": 5}, "action_rules is not a known key"),
             ({"action_rules": [{"action": "drop", "effect": "detach", "child_arg": True}]},
-             r"action_rules\[0\]\.child_arg must be an integer"),
+             "action_rules is not a known key"),
             ({"action_rules": [{"action": "drop", "effect": "detach", "child_arg": 0,
                                 "parent": 1}]},
-             r"action_rules\[0\]\.parent is not a known key"),
+             "action_rules is not a known key"),
             ({"kapa_anch": 0.2}, "kapa_anch is not a known key"),
+            ({"kappa_inf": 0.8}, r"kappa_inf is not a known key "
+             r"\(tau, psi_mismatch, conf_inc, conf_dec, kappa_anch, field_of_view\)$"),
+            ({"kappa_anch": 1.5}, r"kappa_anch must lie in \(0, 1\]"),
         ],
     )
     def test_track_rejects_a_malformed_config_file(self, tmp_path, capsys, config, field):
@@ -870,6 +873,16 @@ class TestCli:
         lines = err.splitlines()
         assert len(lines) == 1 and re.match(f"error: {message}", lines[0]), err
         assert "Traceback" not in err
+
+    def test_a_failed_simulate_leaves_no_partial_stream(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--template", "carried", "--jitter-sigma", "1e308",
+                     "--frames", "220", "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+        assert main(["compare", "--scenarios", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: no *.detections.jsonl files under {out}\n"
+        )
 
     def test_load_scenario_matches_generated_record(self, tmp_path, capsys):
         noisy = NoiseConfig(miss_rate=0.1, ghost_rate=0.05, jitter_sigma=1.5)

@@ -24,15 +24,7 @@ from anchorkit.core import (
 )
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import NoiseConfig, build_template, generate
-from anchorkit.tracker import (
-    ANCHORED,
-    INFERABLE,
-    AnchoringEngine,
-    FrameInput,
-    infer_relations,
-    query,
-    step,
-)
+from anchorkit.tracker import AnchoringEngine, FrameInput, query, step
 
 
 def make_percept(pid, kind="cube", pos=(100.0, 100.0), size=(20.0, 20.0)):
@@ -54,9 +46,9 @@ CONFIG = EngineConfig()
 def test_object_in_two_consecutive_frames_is_anchored_after_frame_two():
     engine = AnchoringEngine(CONFIG, check_invariants=True)
     engine.step(frame(0, [make_percept(0)]))
-    assert engine.query(ANCHORED) == []          # candidate only, c = 0
+    assert engine.query() == []  # candidate only, c = 0
     engine.step(frame(1, [make_percept(0)]))
-    anchored = engine.query(ANCHORED)
+    anchored = engine.query()
     assert [a.anchor_id for a in anchored] == ["cube0"]
     assert anchored[0].confidence == pytest.approx(0.1)
 
@@ -237,65 +229,21 @@ def test_pruned_parent_releases_children_in_place():
     assert validate_world_model(engine.model) == []
 
 
-def test_query_levels_filter_by_confidence():
-    config = EngineConfig(kappa_anch=0.1, kappa_inf=0.8)
+def test_query_filters_at_the_anchoring_gate():
+    config = EngineConfig(kappa_anch=0.5)
     model = WorldModel(anchors=(
         make_anchor("a0", conf=0.05, status=LOST),
         make_anchor("b0", conf=0.5),
         make_anchor("c0", conf=0.9),
+        make_anchor("d0", conf=0.3),
     ))
-    assert [a.anchor_id for a in query(model, config, ANCHORED)] == ["b0", "c0"]
-    assert [a.anchor_id for a in query(model, config, INFERABLE)] == ["c0"]
-
-
-def test_query_equal_thresholds_and_empty_model():
-    config = EngineConfig(kappa_anch=0.3, kappa_inf=0.3)
-    model = WorldModel(anchors=(make_anchor("a0", conf=0.3),))
-    assert query(model, config, ANCHORED) == query(model, config, INFERABLE)
-    assert query(WorldModel(), config, ANCHORED) == []
-    with pytest.raises(ValueError, match="query level"):
-        query(model, config, "everything")
+    assert [a.anchor_id for a in query(model, config)] == ["b0", "c0"]
+    assert query(WorldModel(), config) == []
 
 
 def test_boundary_confidence_exactly_at_threshold_is_anchored():
     model = WorldModel(anchors=(make_anchor("a0", conf=CONFIG.kappa_anch),))
-    assert [a.anchor_id for a in query(model, CONFIG, ANCHORED)] == ["a0"]
-
-
-def test_infer_relations_reports_attachment_chain():
-    model = WorldModel(anchors=(
-        make_anchor("hand0", kind="hand"),
-        make_anchor("case0", kind="case", conf=0.9, status=ATTACHED,
-                    parent="hand0", offset=(0.0, 0.0)),
-        make_anchor("plug0", kind="plug", conf=0.9, status=ATTACHED,
-                    parent="case0", offset=(0.0, 0.0)),
-    ))
-    facts = infer_relations(model, CONFIG)
-    attached = [f for f in facts if f[0] == "attached"]
-    assert attached == [("attached", "case0", "hand0"), ("attached", "plug0", "case0")]
-
-
-def test_infer_relations_overlap_facts():
-    config = EngineConfig(kappa_inf=0.5)
-    disjoint = WorldModel(anchors=(
-        make_anchor("a0", pos=(0.0, 0.0), conf=0.9),
-        make_anchor("b0", pos=(100.0, 100.0), conf=0.9),
-    ))
-    assert infer_relations(disjoint, config) == []
-    # 20x20 boxes with centers 19 px apart share a 1x20 strip; shrink one axis
-    # to make the shared area exactly 1 px^2.
-    touching = WorldModel(anchors=(
-        make_anchor("a0", pos=(0.0, 0.0), conf=0.9),
-        Anchor("b0", Attributes("cube", (19.0, 19.5), (20.0, 20.0)), 0.9, VISIBLE, 0),
-    ))
-    facts = infer_relations(touching, config)
-    assert facts == [("overlaps", "a0", "b0")]
-    # Below the inference gate the overlap is not reported.
-    weak = WorldModel(anchors=(
-        make_anchor("a0", pos=(0.0, 0.0), conf=0.3),
-        make_anchor("b0", pos=(5.0, 0.0), conf=0.9),
-    ))
-    assert infer_relations(weak, config) == []
+    assert [a.anchor_id for a in query(model, CONFIG)] == ["a0"]
 
 
 def test_candidate_fallback_prediction_before_promotion():
@@ -304,19 +252,19 @@ def test_candidate_fallback_prediction_before_promotion():
     predicted = engine.predict("snitch")
     assert predicted is not None
     assert predicted.attributes.position == (42.0, 24.0)
-    assert engine.query(ANCHORED) == []
+    assert engine.query() == []
     assert engine.predict("cube") is None
 
 
 def test_ghost_below_anchoring_threshold_never_promotes_and_prunes_quickly():
-    config = EngineConfig(conf_inc=0.05, conf_dec=0.1, kappa_anch=0.5, kappa_inf=0.8)
+    config = EngineConfig(conf_inc=0.05, conf_dec=0.1, kappa_anch=0.5)
     k = 3  # (k-1) * conf_inc = 0.1 < kappa_anch
     engine = AnchoringEngine(config, check_invariants=True)
     t = 0
     for _ in range(k):
         engine.step(frame(t, [make_percept(0, pos=(50.0, 50.0))]))
         t += 1
-    assert engine.query(ANCHORED) == []
+    assert engine.query() == []
     bound = math.ceil(k * config.conf_inc / config.conf_dec) + 1
     for _ in range(bound):
         engine.step(frame(t))
@@ -367,7 +315,7 @@ def test_deterministic_outputs_for_identical_streams():
             if t % 7 == 0:
                 percepts = percepts[:1]
             engine.step(frame(t, percepts))
-            trace.append(tuple(engine.query(ANCHORED)))
+            trace.append(tuple(engine.query()))
         return trace
 
     assert run() == run()
@@ -384,7 +332,7 @@ def test_stream_performance_300_frames_10_objects():
     for t, row in enumerate(percept_rows):
         engine.step(frame(t, row))
     elapsed = time.perf_counter() - started
-    assert len(engine.query(ANCHORED)) == 10
+    assert len(engine.query()) == 10
     assert elapsed < 1.0, f"300-frame stream took {elapsed:.3f}s"
 
 
