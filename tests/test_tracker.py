@@ -229,7 +229,8 @@ def test_pruned_parent_releases_children_in_place():
     assert validate_world_model(engine.model) == []
 
 
-def test_query_filters_at_the_anchoring_gate():
+def test_query_levels_filter_by_confidence():
+    # One level is left: anchors at or above kappa_anch, whatever their status.
     config = EngineConfig(kappa_anch=0.5)
     model = WorldModel(anchors=(
         make_anchor("a0", conf=0.05, status=LOST),
@@ -238,7 +239,16 @@ def test_query_filters_at_the_anchoring_gate():
         make_anchor("d0", conf=0.3),
     ))
     assert [a.anchor_id for a in query(model, config)] == ["b0", "c0"]
+
+
+def test_query_equal_thresholds_and_empty_model():
+    config = EngineConfig(kappa_anch=0.3)
+    model = WorldModel(anchors=(make_anchor("a0", conf=0.3),))
+    assert [a.anchor_id for a in query(model, config)] == ["a0"]
     assert query(WorldModel(), config) == []
+    # The level argument went with the inference gate.
+    with pytest.raises(TypeError):
+        query(model, config, "everything")
 
 
 def test_boundary_confidence_exactly_at_threshold_is_anchored():
