@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Anchor, Attributes, EngineConfig, EngineError, Percept, Vec2, WorldModel
+from .core import Anchor, Attributes, EngineConfig, EngineError, Percept, Vec2
 
 
 @dataclass(frozen=True)
@@ -188,16 +188,16 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def align(
-    percepts: Sequence[Percept], world_model: WorldModel, config: EngineConfig
+    percepts: Sequence[Percept], tracks: Sequence[Anchor], config: EngineConfig
 ) -> AlignmentResult:
     """Cost matrix, assignment, and threshold filtering.
 
-    All tracked entities (named anchors and provisional candidates) take part,
-    at the positions they have in the model: its camera pose must already be
-    the percepts' frame. Assigned pairs with cost >= tau are dropped, which
-    leaves their percepts unmatched.
+    ``tracks`` are the columns in the order given (the engine passes its
+    anchors, then its candidates, which fixes how cost ties break), at
+    positions already in the percepts' frame. Assigned pairs with cost >=
+    tau are dropped, which leaves their percepts unmatched.
     """
-    cost = build_cost_matrix(percepts, world_model.all_tracks(), config)
+    cost = build_cost_matrix(percepts, tracks, config)
     pairs = solve_assignment(cost.values)
 
     matches = []

@@ -20,7 +20,14 @@ from .io_jsonl import (
     write_truth_stream,
     write_world_stream,
 )
-from .metrics import aggregate, render_table, results_csv, results_json_payload, score_stream
+from .metrics import (
+    EvalError,
+    aggregate,
+    render_table,
+    results_csv,
+    results_json_payload,
+    score_stream,
+)
 from .pipeline import TRACKERS, run_tracker, score_scenarios
 from .simulate import TEMPLATES, NoiseConfig, build_template, generate, scenario_config_from_json
 
@@ -160,7 +167,11 @@ def _emit_results(rows, excluded_total: int, args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     predictions = read_predictions(args.predictions)
-    scores = score_stream(predictions, scenario)
+    try:
+        scores = score_stream(predictions, scenario)
+    except EvalError as exc:
+        # ``load_scenario`` checked the scenario: the frame count is what is left.
+        raise EvalError(f"{args.predictions}: {exc}") from None
     stats, excluded = aggregate([scores])
     rows = [(args.tracker_name, entry) for entry in stats]
     _emit_results(rows, excluded, args)

@@ -27,21 +27,6 @@ def box_corners(box: Box) -> tuple[float, float, float, float]:
     return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
-def box_intersection(box_a: Box, box_b: Box) -> tuple[float, float]:
-    """Width and height of the boxes' intersection; one is <= 0 when they share no area.
-
-    The same corners as ``box_corners``, computed inline: this runs for every
-    box pair that ``boxes_overlap`` and ``metrics.iou`` test. The simulator's
-    cover test repeats this arithmetic on arrays of all object pairs.
-    """
-    (ax, ay), (aw, ah) = box_a
-    (bx, by), (bw, bh) = box_b
-    return (
-        min(ax + aw / 2.0, bx + bw / 2.0) - max(ax - aw / 2.0, bx - bw / 2.0),
-        min(ay + ah / 2.0, by + bh / 2.0) - max(ay - ah / 2.0, by - bh / 2.0),
-    )
-
-
 class EngineError(ValueError):
     """Base class for engine-level failures."""
 
@@ -155,6 +140,8 @@ class WorldModel:
     positions are expressed in the image frame implied by it.
     ``next_instance`` holds per-type counters for ``typeN`` id assignment and
     is never decremented, so ids are not reused after pruning.
+    ``tracker.step`` builds one per frame; its stages take and return the
+    anchor and candidate tuples, not the model.
     """
 
     frame_index: int = -1
@@ -164,12 +151,6 @@ class WorldModel:
     next_instance: Mapping[str, int] = field(default_factory=dict)
     next_candidate: int = 0
 
-    def anchor_lookup(self) -> dict[str, Anchor]:
-        return {a.anchor_id: a for a in self.anchors}
-
-    def all_tracks(self) -> tuple[Anchor, ...]:
-        return self.anchors + self.candidates
-
 
 @dataclass(frozen=True)
 class ActionEvent:
@@ -177,7 +158,6 @@ class ActionEvent:
 
     name: str
     arguments: tuple[str, ...]
-    frame_index: int = 0
 
 
 # The two actions with an effect, as in LA-CATER: ``contain(container,
@@ -255,7 +235,7 @@ def validate_world_model(model: WorldModel) -> list[str]:
     """
     violations: list[str] = []
     seen: set[str] = set()
-    for track in model.all_tracks():
+    for track in model.anchors + model.candidates:
         if track.anchor_id in seen:
             violations.append(f"{track.anchor_id}: duplicate anchor_id")
         seen.add(track.anchor_id)

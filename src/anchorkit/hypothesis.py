@@ -3,7 +3,6 @@ decay, confidence bookkeeping, and action-driven attachment effects."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from .core import (
@@ -19,10 +18,8 @@ from .core import (
     EngineConfig,
     EngineError,
     Percept,
-    WorldModel,
     ancestors,
     box_corners,
-    box_intersection,
     chain_position,
 )
 
@@ -62,8 +59,9 @@ def update_confidence(
 def boxes_overlap(box_a: Box, box_b: Box) -> bool:
     """True when the boxes share positive area (touching edges do not count):
     the reference that tests compare ``classify_unmatched`` against."""
-    width, height = box_intersection(box_a, box_b)
-    return width > 0.0 and height > 0.0
+    ax1, ay1, ax2, ay2 = box_corners(box_a)
+    bx1, by1, bx2, by2 = box_corners(box_b)
+    return min(ax2, bx2) - max(ax1, bx1) > 0.0 and min(ay2, by2) - max(ay1, by1) > 0.0
 
 
 def classify_unmatched(
@@ -76,13 +74,13 @@ def classify_unmatched(
     outside [0, W) x [0, H), otherwise lost. The engine classifies all of a
     frame's anchors in one call, and each percept's corners are computed once.
 
-    Overlap in x is ``min(ax2, bx2) > max(ax1, bx1)``, which equals
-    ``box_intersection(...)[0] > 0`` for finite doubles because ``x - y > 0``
-    iff ``x > y`` under IEEE gradual underflow. It holds iff both boxes keep
-    a positive width after rounding to corners (``ax1 < ax2``; a tiny box far
-    from the origin can collapse) and ``bx1 < ax2 and ax1 < bx2``; likewise
-    in y. Collapsed boxes are set aside first, so the per-pair test is four
-    comparisons.
+    Overlap in x is ``min(ax2, bx2) > max(ax1, bx1)``, which equals the
+    ``boxes_overlap`` test ``min(ax2, bx2) - max(ax1, bx1) > 0`` for finite
+    doubles because ``x - y > 0`` iff ``x > y`` under IEEE gradual underflow.
+    It holds iff both boxes keep a positive width after rounding to corners
+    (``ax1 < ax2``; a tiny box far from the origin can collapse) and
+    ``bx1 < ax2 and ax1 < bx2``; likewise in y. Collapsed boxes are set aside
+    first, so the per-pair test is four comparisons.
     """
     if not anchors:
         return []
@@ -105,29 +103,22 @@ def classify_unmatched(
     return fates
 
 
-def _replace_anchor(model: WorldModel, updated: Anchor) -> WorldModel:
-    anchors = tuple(
-        updated if a.anchor_id == updated.anchor_id else a for a in model.anchors
-    )
-    return replace(model, anchors=anchors)
-
-
-def apply_action(model: WorldModel, event: ActionEvent) -> WorldModel:
-    """Apply the attachment effect of one action event.
+def apply_action(anchors: tuple[Anchor, ...], event: ActionEvent) -> tuple[Anchor, ...]:
+    """Return ``anchors`` with the attachment effect of one action event.
 
     ``contain(container, object)`` attaches the object below its container,
     frozen at their current offset; ``uncontain`` frees ``arguments[1]``;
     any other name is a no-op. Fewer than two arguments, an unknown anchor
     or an attach that would close a cycle (``core.ancestors``) raise
-    ``ActionError``; a cycle already in the model raises ``EngineError``.
+    ``ActionError``; a cycle already among the anchors raises ``EngineError``.
     """
     if event.name != CONTAIN and event.name != UNCONTAIN:
-        return model
+        return anchors
     args = event.arguments
     if len(args) < 2:
         raise ActionError(f"action {event.name!r} needs two arguments, got {args!r}")
 
-    by_id = model.anchor_lookup()
+    by_id = {a.anchor_id: a for a in anchors}
     parent_id, child_id = args[0], args[1]
     if child_id not in by_id:
         raise ActionError(f"action {event.name!r}: unknown anchor {child_id!r}")
@@ -135,47 +126,40 @@ def apply_action(model: WorldModel, event: ActionEvent) -> WorldModel:
 
     if event.name == UNCONTAIN:
         if child.parent is None:
-            return model
-        freed = child._replace(parent=None, parent_offset=None, status=LOST)
-        return _replace_anchor(model, freed)
-
-    if parent_id not in by_id:
-        raise ActionError(f"action {event.name!r}: unknown anchor {parent_id!r}")
-    parent_of = {aid: a.parent for aid, a in by_id.items() if a.parent in by_id}
-    if parent_id == child_id or child_id in ancestors(parent_of, parent_id):
-        raise ActionError(
-            f"action {event.name!r}: attaching {child_id!r} below {parent_id!r} "
-            "would close an attachment cycle"
-        )
-
-    parent = by_id[parent_id]
-    cx, cy = child.attributes.position
-    px, py = parent.attributes.position
-    attached = child._replace(
-        parent=parent_id,
-        parent_offset=(cx - px, cy - py),
-        status=ATTACHED,
-    )
-    return _replace_anchor(model, attached)
+            return anchors
+        child = child._replace(parent=None, parent_offset=None, status=LOST)
+    else:
+        if parent_id not in by_id:
+            raise ActionError(f"action {event.name!r}: unknown anchor {parent_id!r}")
+        parent_of = {aid: a.parent for aid, a in by_id.items() if a.parent in by_id}
+        if parent_id == child_id or child_id in ancestors(parent_of, parent_id):
+            raise ActionError(
+                f"action {event.name!r}: attaching {child_id!r} below {parent_id!r} "
+                "would close an attachment cycle"
+            )
+        cx, cy = child.attributes.position
+        px, py = by_id[parent_id].attributes.position
+        child = child._replace(parent=parent_id, parent_offset=(cx - px, cy - py), status=ATTACHED)
+    return tuple(child if a.anchor_id == child_id else a for a in anchors)
 
 
-def propagate_attachments(model: WorldModel) -> WorldModel:
-    """Recompute every attached anchor's position as parent + frozen offset.
+def propagate_attachments(anchors: tuple[Anchor, ...]) -> tuple[Anchor, ...]:
+    """Return ``anchors`` with each attached one moved to parent + frozen offset.
 
     Each follows its ``core.ancestors`` chain, summed root first by
     ``core.chain_position``; an anchor whose parent does not resolve keeps its
     position. Sizes stay at the last detected values, running the pass twice
     changes nothing, and a cycle raises ``EngineError``.
     """
-    by_id = model.anchor_lookup()
-    attached = [a for a in model.anchors if a.parent in by_id]
+    by_id = {a.anchor_id: a for a in anchors}
+    attached = [a for a in anchors if a.parent in by_id]
     if not attached:
-        return model
+        return anchors
     parent_of = {a.anchor_id: a.parent for a in attached}
     offset_of = {a.anchor_id: a.parent_offset for a in attached}
     position_of = {parent: by_id[parent].attributes.position for parent in parent_of.values()}
     updated = []
-    for anchor in model.anchors:
+    for anchor in anchors:
         if anchor.anchor_id not in parent_of:
             updated.append(anchor)
             continue
@@ -185,4 +169,4 @@ def propagate_attachments(model: WorldModel) -> WorldModel:
         else:
             attrs = anchor.attributes._replace(position=position)
             updated.append(anchor._replace(attributes=attrs))
-    return replace(model, anchors=tuple(updated))
+    return tuple(updated)

@@ -66,7 +66,6 @@ PRESETS: dict[str, dict] = {
     "benchmark": {},
     "assembly": {
         "conf_inc": 0.05,
-        "conf_dec": 0.1,
         "kappa_anch": 0.5,
     },
 }
@@ -294,7 +293,7 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
         args = act.get("args", [])
         if not isinstance(args, list) or not args or not all(isinstance(a, str) for a in args):
             raise FieldError(f"{label}.args must be a non-empty list of strings")
-        actions.append(ActionEvent(act["name"], tuple(args), frame_index))
+        actions.append(ActionEvent(act["name"], tuple(args)))
     return FrameInput(frame_index, tuple(percepts), camera, tuple(actions))
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Mapping, Sequence
 
-from .core import Box, EngineError, box_corners, box_intersection
+from .core import Box, EngineError, box_corners
 from .tracker import FrameInput
 
 # The task: localise the one object of this type, each frame labelled with a subtask.
@@ -26,11 +26,12 @@ class EvalError(EngineError):
 
 def iou(box_a: Box, box_b: Box) -> float:
     """Intersection area over union area; 1 iff the boxes coincide."""
-    iw, ih = box_intersection(box_a, box_b)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
     ax1, ay1, ax2, ay2 = box_corners(box_a)
     bx1, by1, bx2, by2 = box_corners(box_b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union

@@ -277,7 +277,7 @@ def _synthesize(script, objects, config, snitch: str):
                     position[ev.target][1] - position[ev.subject][1],
                 )
                 attach_start[ev.target] = f
-                fired.append(ActionEvent(CONTAIN, (ev.subject, ev.target), f))
+                fired.append(ActionEvent(CONTAIN, (ev.subject, ev.target)))
             elif ev.kind == "uncontain" and f == ev.start:
                 if parent_of.get(ev.target) != ev.subject:
                     raise SimulationError(
@@ -285,9 +285,9 @@ def _synthesize(script, objects, config, snitch: str):
                     )
                 attach_log.append((ev.target, ev.subject, attach_start.pop(ev.target), f))
                 del parent_of[ev.target], offset_of[ev.target]
-                fired.append(ActionEvent(UNCONTAIN, (ev.subject, ev.target), f))
+                fired.append(ActionEvent(UNCONTAIN, (ev.subject, ev.target)))
             elif ev.kind == "rotate" and f == ev.start:
-                fired.append(ActionEvent("rotate", (ev.subject,), f))
+                fired.append(ActionEvent("rotate", (ev.subject,)))
         actions.append(tuple(fired))
 
         for i, ev in indexed:
@@ -336,8 +336,9 @@ def _render_flags(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per frame and object (two ``(frames, n)`` boolean arrays): covered,
     when an object on a strictly higher layer overlaps more than
-    ``COVER_DROP_FRACTION`` of its area by ``core.box_intersection``'s
-    arithmetic, and in view, when its image position lies in [0, W) x [0, H).
+    ``COVER_DROP_FRACTION`` of its area (the overlap on each axis is
+    ``min(x2) - max(x1)`` of the ``core.box_corners`` corners), and in view,
+    when its image position lies in [0, W) x [0, H).
 
     ``centers`` is ``(frames, n, 2)``, ``sizes`` ``(n, 2)``, ``layers``
     ``(frames, n)`` and ``camera`` ``(frames, 2)``.

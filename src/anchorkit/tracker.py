@@ -7,7 +7,7 @@ for stream processing. ``query`` lists the anchors at the anchoring gate and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -131,6 +131,7 @@ def step(
     that was attached detaches implicitly and resumes independent tracking.
     Percepts are taken in ``percept_id`` order, so the result depends on the
     frame's set of percepts, never on the order ``frame.percepts`` lists them.
+    The stages pass anchor tuples; the successor model is built once, at the end.
 
     Raises ``EngineError`` when a track of ``model`` was seen after
     ``model.frame_index``, or when a candidate whose object type starts with
@@ -143,32 +144,29 @@ def step(
     t = frame.frame_index
     percepts = sorted(frame.percepts, key=attrgetter("percept_id"))
 
-    work = replace(
-        model,
-        anchors=compensate_camera_motion(model.anchors, model.camera_pose, frame.camera_pose),
-        candidates=compensate_camera_motion(model.candidates, model.camera_pose, frame.camera_pose),
-        camera_pose=frame.camera_pose,
-    )
+    anchors = compensate_camera_motion(model.anchors, model.camera_pose, frame.camera_pose)
+    candidates = compensate_camera_motion(model.candidates, model.camera_pose, frame.camera_pose)
 
     # Action effects come before alignment so an attach in this frame shields
     # the child from being classified lost below. Events that no longer
     # resolve (pruned anchors, malformed annotations) are skipped, not fatal.
     for event in frame.actions:
         try:
-            work = apply_action(work, event)
+            anchors = apply_action(anchors, event)
         except ActionError:
             continue
 
-    result = align(percepts, work, config)
+    result = align(percepts, anchors + candidates, config)
     percept_by_id = {p.percept_id: p for p in percepts}
     match_for = {aid: percept_by_id[pid] for pid, aid, _cost in result.matches}
 
-    # Match pass. A track's role is the store it sits in, never its id.
+    # Match pass. A track's role is the store it sits in, never its id. Each
+    # pass reads the tuples in ``tracked`` and refills the two stores.
     outcomes: list[HypothesisOutcome] = []
-    next_instance = dict(work.next_instance)
-    anchors: list[Anchor] = []
-    candidates: list[Anchor] = []
-    for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
+    next_instance = dict(model.next_instance)
+    tracked = (anchors, candidates)
+    anchors, candidates = [], []
+    for store, tracks in zip((anchors, candidates), tracked):
         for track in tracks:
             if track.last_seen_frame > model.frame_index:
                 raise EngineError(
@@ -200,10 +198,7 @@ def step(
                 HypothesisOutcome(anchor_id, VISIBLE, conf, track.attributes.position, reason)
             )
 
-    work = replace(
-        work, anchors=tuple(anchors), candidates=tuple(candidates), next_instance=next_instance
-    )
-    work = propagate_attachments(work)
+    anchors = propagate_attachments(tuple(anchors))
 
     # Frame indices strictly increase and no track was seen after the model's
     # frame, so a track was matched in this cycle iff it was last seen at t.
@@ -211,16 +206,17 @@ def step(
     # in one call.
     held = [
         a
-        for a in work.anchors
+        for a in anchors
         if a.last_seen_frame != t and a.parent is None and a.confidence >= config.kappa_anch
     ]
     fate = dict(zip([a.anchor_id for a in held], classify_unmatched(held, percepts, config)))
 
     # Maintenance pass. Candidates never have a parent and stay below
     # kappa_anch, so they skip the anchor-only branches.
+    tracked = (anchors, candidates)
     anchors, candidates = [], []
     pruned_ids: set[str] = set()
-    for store, tracks in ((anchors, work.anchors), (candidates, work.candidates)):
+    for store, tracks in zip((anchors, candidates), tracked):
         for track in tracks:
             if track.last_seen_frame == t:
                 store.append(track)
@@ -268,7 +264,7 @@ def step(
             for a in anchors
         ]
 
-    next_candidate = work.next_candidate
+    next_candidate = model.next_candidate
     for pid in result.unmatched_percepts:
         cand = Anchor(
             anchor_id=f"{CANDIDATE_PREFIX}{next_candidate}",
@@ -280,11 +276,12 @@ def step(
         next_candidate += 1
         candidates.append(cand)
 
-    new_model = replace(
-        work,
+    new_model = WorldModel(
         frame_index=t,
         anchors=tuple(anchors),
         candidates=tuple(candidates),
+        camera_pose=frame.camera_pose,
+        next_instance=next_instance,
         next_candidate=next_candidate,
     )
 

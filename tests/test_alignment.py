@@ -17,7 +17,7 @@ from anchorkit.alignment import (
     compensate_camera_motion,
     solve_assignment,
 )
-from anchorkit.core import Anchor, Attributes, EngineConfig, EngineError, Percept, WorldModel
+from anchorkit.core import Anchor, Attributes, EngineConfig, EngineError, Percept
 
 
 def brute_force_assignment(values: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -336,21 +336,21 @@ class TestAlign:
     def test_no_anchors_all_percepts_unmatched(self):
         result = align(
             [make_percept(0), make_percept(1, pos=(50.0, 50.0))],
-            WorldModel(),
+            (),
             EngineConfig(),
         )
         assert result.matches == ()
         assert result.unmatched_percepts == (0, 1)
 
     def test_close_same_type_pair_matches(self):
-        model = WorldModel(anchors=(make_anchor("cube0", pos=(100.0, 100.0)),))
-        result = align([make_percept(0, pos=(103.0, 100.0))], model, EngineConfig())
+        tracks = (make_anchor("cube0", pos=(100.0, 100.0)),)
+        result = align([make_percept(0, pos=(103.0, 100.0))], tracks, EngineConfig())
         assert result.matches == ((0, "cube0", 9.0),)
 
     def test_pair_at_or_above_tau_is_demoted(self):
         # 84 px apart -> squared distance 7056 >= 6500
-        model = WorldModel(anchors=(make_anchor("cube0", pos=(0.0, 0.0)),))
-        result = align([make_percept(0, pos=(84.0, 0.0))], model, EngineConfig())
+        tracks = (make_anchor("cube0", pos=(0.0, 0.0)),)
+        result = align([make_percept(0, pos=(84.0, 0.0))], tracks, EngineConfig())
         assert result.matches == ()
         assert result.unmatched_percepts == (0,)
 
@@ -361,7 +361,7 @@ class TestAlign:
         )
         percepts = [make_percept(i, pos=tuple(rng.uniform(0, 200, 2))) for i in range(4)]
         config = EngineConfig()
-        base = align(percepts, WorldModel(anchors=anchors), config)
+        base = align(percepts, anchors, config)
 
         def shift_anchor(a, d):
             pos = (a.attributes.position[0] + d, a.attributes.position[1] + d)
@@ -373,7 +373,7 @@ class TestAlign:
 
         shifted = align(
             [shift_percept(p, 37.0) for p in percepts],
-            WorldModel(anchors=tuple(shift_anchor(a, 37.0) for a in anchors)),
+            tuple(shift_anchor(a, 37.0) for a in anchors),
             config,
         )
         assert [(m[0], m[1]) for m in base.matches] == [(m[0], m[1]) for m in shifted.matches]

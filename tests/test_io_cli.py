@@ -44,7 +44,7 @@ def sample_frames():
             2,
             (Percept(0, Attributes("cone", (102.0, 80.0), (40.0, 40.0)), 0.8),),
             (1.0, -2.0),
-            (ActionEvent("contain", ("cone0", "snitch0"), 2),),
+            (ActionEvent("contain", ("cone0", "snitch0")),),
         ),
     ]
 
@@ -437,6 +437,13 @@ class TestTruthFiles:
         assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
         assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "objects has no snitch")
 
+    def test_eval_names_the_prediction_file_on_a_frame_count_mismatch(self, tmp_path, capsys):
+        prefix = self.write(tmp_path, [truth_line(0), truth_line(2)])
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [None])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        assert_cli_error(capsys, preds, "prediction stream has 1 frames, scenario has 2")
+
 
 # Finite floats, with the edges of the format drawn often: signed zeros,
 # subnormals and the largest magnitudes.
@@ -464,7 +471,7 @@ def detection_streams(draw):
                                 max_size=2))
         frames.append(FrameInput(
             index, percepts, draw(vec),
-            tuple(ActionEvent(name, tuple(args), index) for name, args in actions),
+            tuple(ActionEvent(name, tuple(args)) for name, args in actions),
         ))
     return frames
 

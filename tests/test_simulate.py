@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_golden import _crowd_scenario
 
 from anchorkit import simulate
-from anchorkit.core import Attributes, EngineConfig, EngineError, Percept, box_intersection
+from anchorkit.core import Attributes, EngineConfig, EngineError, Percept, box_corners
 from anchorkit.pipeline import run_engine_stream
 from anchorkit.simulate import (
     EventSpec,
@@ -71,7 +71,8 @@ class TestNoiselessSemantics:
         assert labels[60] == "carried"
         assert "contained" in labels
         assert actions[0].name == "contain"
-        assert actions[0].frame_index == 41
+        first = next(frame for frame in record.scenario.inputs if frame.actions)
+        assert first.frame_index == 41
         # carried frames are exactly the contained frames where the target moved
         for f in range(1, 120):
             moved = record.truth[f]["snitch0"] != record.truth[f - 1]["snitch0"]
@@ -495,7 +496,7 @@ def record_digest(record) -> str:
             for frame in record.scenario.inputs
         ],
         "actions": [
-            [a.name, a.arguments, a.frame_index]
+            [a.name, a.arguments, frame.frame_index]
             for frame in record.scenario.inputs
             for a in frame.actions
         ],
@@ -550,13 +551,15 @@ def reference_flags(centers, sizes, layers, camera, viewport):
         covered.append([])
         in_view.append([])
         for i, own_pos in enumerate(positions):
-            own_box = (own_pos, sizes[i])
+            ax1, ay1, ax2, ay2 = box_corners((own_pos, sizes[i]))
             own_area = sizes[i][0] * sizes[i][1]
             cover = 0.0
             for j, other_pos in enumerate(positions):
                 if layer[j] <= layer[i]:  # also skips object i itself
                     continue
-                ox, oy = box_intersection(own_box, (other_pos, sizes[j]))
+                bx1, by1, bx2, by2 = box_corners((other_pos, sizes[j]))
+                ox = min(ax2, bx2) - max(ax1, bx1)
+                oy = min(ay2, by2) - max(ay1, by1)
                 if ox > 0.0 and oy > 0.0:
                     cover = max(cover, ox * oy / own_area)
             covered[-1].append(cover > simulate.COVER_DROP_FRACTION)

@@ -36,6 +36,10 @@ def make_anchor(aid, kind="cube", pos=(100.0, 100.0), conf=0.5, status=VISIBLE,
     return Anchor(aid, Attributes(kind, pos, (20.0, 20.0)), conf, status, 0, parent, offset)
 
 
+def by_id(anchors):
+    return {a.anchor_id: a for a in anchors}
+
+
 def frame(t, percepts=(), camera=(0.0, 0.0), actions=()):
     return FrameInput(t, tuple(percepts), camera, tuple(actions))
 
@@ -119,7 +123,7 @@ def test_a_contain_on_a_model_holding_a_cycle_raises_instead_of_hanging():
         ),
         frame_index=0,
     )
-    contain = ActionEvent("contain", ("cube0", "cube2"), 1)
+    contain = ActionEvent("contain", ("cube0", "cube2"))
     with pytest.raises(EngineError, match="attachment cycle via cube0 -> cube1 -> cube0"):
         step(model, frame(1, actions=[contain]), CONFIG)
 
@@ -187,11 +191,11 @@ def test_contained_target_follows_its_carrier_while_undetected():
     engine.step(frame(0, [cone(0, 100.0), snitch(1)]))
     engine.step(frame(1, [cone(0, 100.0), snitch(1)]))  # both anchored now
     engine.step(
-        frame(2, [cone(0, 100.0)], actions=[ActionEvent("contain", ("cone0", "snitch0"), 2)])
+        frame(2, [cone(0, 100.0)], actions=[ActionEvent("contain", ("cone0", "snitch0"))])
     )
     for i, x in enumerate((120.0, 140.0, 150.0), start=3):
         engine.step(frame(i, [cone(0, x)]))
-    estimate = engine.model.anchor_lookup()["snitch0"]
+    estimate = by_id(engine.model.anchors)["snitch0"]
     assert estimate.status == ATTACHED
     assert estimate.attributes.position == (200.0, 150.0)  # moved 50 px with the cone
 
@@ -202,10 +206,10 @@ def test_redetection_of_attached_child_detaches_it():
     snitch = make_percept(1, "snitch", (104.0, 100.0), (18.0, 18.0))
     for t in range(2):
         engine.step(frame(t, [cone, snitch]))
-    engine.step(frame(2, [cone], actions=[ActionEvent("contain", ("cone0", "snitch0"), 2)]))
-    assert engine.model.anchor_lookup()["snitch0"].status == ATTACHED
+    engine.step(frame(2, [cone], actions=[ActionEvent("contain", ("cone0", "snitch0"))]))
+    assert by_id(engine.model.anchors)["snitch0"].status == ATTACHED
     engine.step(frame(3, [cone, snitch]))
-    child = engine.model.anchor_lookup()["snitch0"]
+    child = by_id(engine.model.anchors)["snitch0"]
     assert child.status == VISIBLE and child.parent is None
 
 
@@ -216,12 +220,12 @@ def test_pruned_parent_releases_children_in_place():
     snitch = make_percept(1, "snitch", (290.0, 200.0), (18.0, 18.0))
     for t in range(2):
         engine.step(frame(t, [cone, snitch]))
-    engine.step(frame(2, [cone], actions=[ActionEvent("contain", ("cone0", "snitch0"), 2)]))
-    assert engine.model.anchor_lookup()["snitch0"].parent == "cone0"
+    engine.step(frame(2, [cone], actions=[ActionEvent("contain", ("cone0", "snitch0"))]))
+    assert by_id(engine.model.anchors)["snitch0"].parent == "cone0"
     # The cone now vanishes with nothing overlapping it: lost and, at 0.2 of
     # confidence against a 0.6 decrement, pruned in the same cycle.
     engine.step(frame(3, []))
-    lookup = engine.model.anchor_lookup()
+    lookup = by_id(engine.model.anchors)
     assert "cone0" not in lookup
     child = lookup["snitch0"]
     assert child.parent is None
@@ -288,7 +292,7 @@ def test_anchor_ids_are_not_reused_after_pruning():
     engine = AnchoringEngine(config, check_invariants=True)
     for t in range(2):
         engine.step(frame(t, [make_percept(0)]))
-    assert "cube0" in engine.model.anchor_lookup()
+    assert "cube0" in by_id(engine.model.anchors)
     engine.step(frame(2, []))
     engine.step(frame(3, []))
     assert engine.model.anchors == ()
@@ -304,10 +308,10 @@ def test_maintained_statuses_hold_position_and_confidence_indefinitely():
     target = make_percept(0, "sphere", (100.0, 100.0))
     for t in range(5):
         engine.step(frame(t, [target, wall]))
-    held_conf = engine.model.anchor_lookup()["sphere0"].confidence
+    held_conf = by_id(engine.model.anchors)["sphere0"].confidence
     for t in range(5, 45):
         engine.step(frame(t, [wall]))  # target hidden behind the wall
-        anchor = engine.model.anchor_lookup()["sphere0"]
+        anchor = by_id(engine.model.anchors)["sphere0"]
         assert anchor.status == "occluded"
         assert anchor.attributes.position == (100.0, 100.0)
         assert anchor.confidence == held_conf
@@ -356,7 +360,7 @@ def test_every_cycle_preserves_world_model_invariants():
         if t == 5:
             percepts.append(make_percept(1, "snitch", (103.0, 100.0), (18.0, 18.0)))
         if t == 7:
-            actions.append(ActionEvent("contain", ("cone0", "snitch0"), t))
+            actions.append(ActionEvent("contain", ("cone0", "snitch0")))
         engine.step(frame(t, percepts, actions=actions))
         assert validate_world_model(engine.model) == []
 
@@ -394,6 +398,73 @@ def test_invariants_hold_under_noise_and_stray_actions(
                         jitter_sigma=jitter_sigma, flicker_burst_length=burst)
     frames = list(generate(build_template("random", seed, frames=200, noise=noise)).scenario.inputs)
     for t, name, parent, child in events:
-        extra = ActionEvent(name, (parent, child), t)
+        extra = ActionEvent(name, (parent, child))
         frames[t] = replace(frames[t], actions=frames[t].actions + (extra,))
     run_engine_stream(frames, CONFIG, check_invariants=True)  # raises on a broken invariant
+
+
+@st.composite
+def shifted_streams(draw):
+    """A small detection stream with integer boxes and contain/uncontain
+    actions, plus one integer camera pose per frame. Each object jitters
+    around its start by a few pixels and is detected in about half of the
+    frames, so tracks match, get anchored, occlude one another, are lost,
+    get attached (also below an attached parent) and are released."""
+    extra = draw(st.lists(st.sampled_from(("cone", "cube", "snitch")), max_size=2))
+    kinds = ["cone", "snitch", *extra]
+    starts = [(draw(st.integers(1000, 1040)), draw(st.integers(1000, 1040))) for _ in kinds]
+    sizes = [(float(draw(st.integers(4, 40))), float(draw(st.integers(4, 40)))) for _ in kinds]
+    jitter = st.integers(-8, 8)
+    pairs = (("cone0", "snitch0"), ("cone0", "snitch1"), ("cube0", "cone0"), ("snitch0", "cone0"))
+    names = ("contain", "contain", "uncontain")  # a contain twice as often
+    event = st.sampled_from([ActionEvent(n, p) for n in names for p in pairs])
+    frames = []
+    for t in range(draw(st.integers(2, 20))):
+        percepts = tuple(
+            Percept(i, Attributes(kind, (float(x + draw(jitter)), float(y + draw(jitter))), size))
+            for i, (kind, (x, y), size) in enumerate(zip(kinds, starts, sizes))
+            if draw(st.booleans())
+        )
+        frames.append(frame(t, percepts, actions=draw(st.lists(event, max_size=2))))
+    pose = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(
+        lambda xy: (float(xy[0]), float(xy[1]))
+    )
+    poses = draw(st.lists(pose, min_size=len(frames), max_size=len(frames)))
+    return frames, poses
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+@given(stream=shifted_streams())
+def test_camera_translation_moves_every_estimate_by_exactly_its_shift(stream):
+    # Every coordinate is a small integer or half of one, so each sum,
+    # difference and product the engine forms is exact. The field of view
+    # holds every position of both runs: no anchor is ever out of view.
+    frames, poses = stream
+
+    def shifted(record, pose):
+        (x, y), (cx, cy) = record.attributes.position, pose
+        return record._replace(attributes=record.attributes._replace(position=(x - cx, y - cy)))
+
+    panned_frames = [
+        replace(f, camera_pose=pose, percepts=tuple(shifted(p, pose) for p in f.percepts))
+        for f, pose in zip(frames, poses)
+    ]
+    config = EngineConfig(field_of_view=(4096.0, 4096.0))
+    still = run_engine_stream(frames, config)
+    panned = run_engine_stream(panned_frames, config)
+    for (_, fixed), (_, moved), pose in zip(still.world, panned.world, poses):
+        # The same anchors with the same ids, statuses, confidences, parents
+        # and offsets, each at exactly its still position minus the pose.
+        assert moved == tuple(shifted(a, pose) for a in fixed)
+    for fixed, moved, (cx, cy) in zip(still.predictions, panned.predictions, poses):
+        if fixed is None:
+            assert moved is None
+        else:
+            (x, y), size = fixed
+            assert moved == ((x - cx, y - cy), size)
