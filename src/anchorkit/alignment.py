@@ -19,23 +19,22 @@ from .core import Anchor, Attributes, EngineConfig, EngineError, Percept, Vec2
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dissimilarity of every percept (row) against every tracked anchor (column)."""
+    """Dissimilarity of every percept (row) against every track (column), in the order given."""
 
     values: np.ndarray  # shape (n_percepts, n_anchors), non-negative
-    percept_ids: tuple[int, ...]
-    anchor_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Accepted matches plus the percepts left over.
+    """Accepted matches plus the percepts left over, as the records given.
 
     Every matched cost is strictly below the threshold; each percept appears
-    at most once across the two fields.
+    exactly once across the two fields, and both list percepts in the order
+    given.
     """
 
-    matches: tuple[tuple[int, str, float], ...]  # (percept_id, anchor_id, cost)
-    unmatched_percepts: tuple[int, ...]
+    matches: tuple[tuple[Percept, Anchor, float], ...]  # (percept, track, cost)
+    unmatched_percepts: tuple[Percept, ...]
 
 
 def compensate_camera_motion(
@@ -107,11 +106,7 @@ def build_cost_matrix(
         values = np.where(
             kinds[:n_p, None] == kinds[n_p:], values, values * config.psi_mismatch
         )
-    return CostMatrix(
-        values=values,
-        percept_ids=tuple(p.percept_id for p in percepts),
-        anchor_ids=tuple(a.anchor_id for a in anchors),
-    )
+    return CostMatrix(values)
 
 
 # Above this many pairs ``_canonicalize`` first looks for a cost-neutral swap
@@ -195,18 +190,19 @@ def align(
     ``tracks`` are the columns in the order given (the engine passes its
     anchors, then its candidates, which fixes how cost ties break), at
     positions already in the percepts' frame. Assigned pairs with cost >=
-    tau are dropped, which leaves their percepts unmatched.
+    tau are dropped, which leaves their percepts unmatched. The result holds
+    the records of ``percepts`` and ``tracks`` themselves, not their ids.
     """
-    cost = build_cost_matrix(percepts, tracks, config)
-    pairs = solve_assignment(cost.values)
+    values = build_cost_matrix(percepts, tracks, config).values
+    pairs = solve_assignment(values)
 
     matches = []
     matched_rows: set[int] = set()
     for r, c in pairs:
-        value = float(cost.values[r, c])
+        value = float(values[r, c])
         if value < config.tau:
-            matches.append((cost.percept_ids[r], cost.anchor_ids[c], value))
+            matches.append((percepts[r], tracks[c], value))
             matched_rows.add(r)
 
-    unmatched = tuple(pid for i, pid in enumerate(cost.percept_ids) if i not in matched_rows)
+    unmatched = tuple(p for r, p in enumerate(percepts) if r not in matched_rows)
     return AlignmentResult(tuple(matches), unmatched)

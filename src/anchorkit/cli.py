@@ -139,7 +139,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
         return 1
     config = load_engine_config(args.config)
     frames = read_detection_stream(args.detections)
-    run = run_tracker(frames, args.tracker, config)
+    try:
+        run = run_tracker(frames, args.tracker, config)
+    except EngineError as exc:
+        raise EngineError(f"{args.detections}: {exc}") from None
     if args.world_out:
         write_world_stream(args.world_out, run.world)
         print(f"wrote {args.world_out}")
@@ -188,7 +191,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: no *.detections.jsonl files under {directory}", file=sys.stderr)
         return 1
     config = load_engine_config(args.config)
-    scenarios = [load_scenario(prefix) for prefix in prefixes]
+    scenarios = {f"{prefix}.detections.jsonl": load_scenario(prefix) for prefix in prefixes}
     rows, excluded = score_scenarios(scenarios, config)
     _emit_results(rows, excluded, args)
     return 0

@@ -20,10 +20,10 @@ Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 "box": null | {"pos", "size"}}. Every stream is ordered by strictly
 increasing frame index; line k of a truth file carries the frame and
 camera of line k of its detection stream, and a prediction's frame is its
-0-based line position. A key outside a line's format is an error, and JSON
-``true``/``false`` are not numbers. Detection types must
-not start with ``cand``: the engine reserves that prefix for the ids of
-provisional tracks.
+0-based line position. A key outside a line's format is an error, JSON
+``true``/``false`` are not numbers, and every box size is > 0 in both
+components. Detection types must not start with ``cand``: the engine
+reserves that prefix for the ids of provisional tracks.
 
 Of the actions, only ``contain`` and ``uncontain`` change the world model
 (``hypothesis.apply_action``); others are read and kept but do nothing.
@@ -109,6 +109,13 @@ def pair(value, label: str) -> Vec2:
     ):
         raise FieldError(f"{label} must be a pair of finite numbers")
     return (float(value[0]), float(value[1]))
+
+
+def size(value, label: str) -> Vec2:
+    width, height = pair(value, label)
+    if width <= 0 or height <= 0:
+        raise FieldError(f"{label} components must be > 0")
+    return (width, height)
 
 
 def string(value, label: str) -> str:
@@ -275,14 +282,12 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
                 f"{label}.type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}"
             )
         pos = pair(det.get("pos"), f"{label}.pos")
-        size = pair(det.get("size"), f"{label}.size")
-        if size[0] <= 0 or size[1] <= 0:
-            raise FieldError(f"{label}.size components must be > 0")
+        box_size = size(det.get("size"), f"{label}.size")
         score = det.get("score", 1.0)
         if not _finite(score) or not (0.0 <= score <= 1.0):
             raise FieldError(f"{label}.score must lie in [0, 1]")
         percepts.append(
-            Percept(pid, Attributes(kind, pos, size), float(score))
+            Percept(pid, Attributes(kind, pos, box_size), float(score))
         )
     actions = []
     for i, act in enumerate(object_list(obj.get("actions", []), "actions")):
@@ -348,7 +353,7 @@ def _prediction(obj: dict, done: list) -> Box | None:
     if not isinstance(box, dict):
         raise FieldError("box must be null or an object")
     check_keys(box, _BOX_KEYS, "box.")
-    return (pair(box.get("pos"), "box.pos"), pair(box.get("size"), "box.size"))
+    return (pair(box.get("pos"), "box.pos"), size(box.get("size"), "box.size"))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +402,8 @@ def load_scenario(prefix) -> Scenario:
             if not (isinstance(name, str) and isinstance(kind, str)):
                 raise FieldError(f"objects[{i}] needs a string name and type")
             pos = pair(entry.get("pos"), f"objects[{i}].pos")
-            size = pair(entry.get("size"), f"objects[{i}].size")
-            entries.append((name, kind, (pos, size)))
+            box_size = size(entry.get("size"), f"objects[{i}].size")
+            entries.append((name, kind, (pos, box_size)))
             has_target = has_target or kind == TARGET_TYPE
         if not has_target:
             raise FieldError(f"objects has no {TARGET_TYPE}")

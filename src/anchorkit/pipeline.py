@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .core import Anchor, Box, EngineConfig
+from .core import Anchor, Box, EngineConfig, EngineError
 from .heuristic import HeuristicTracker
 from .metrics import TARGET_TYPE, BucketStats, Scenario, VideoScores, aggregate, score_stream
 from .tracker import AnchoringEngine, FrameInput
@@ -31,7 +31,10 @@ def run_engine_stream(
     predictions: list[Box | None] = []
     world: list[tuple[int, tuple[Anchor, ...]]] = []
     for frame in frames:
-        engine.step(frame)
+        try:
+            engine.step(frame)
+        except EngineError as exc:
+            raise EngineError(f"frame {frame.frame_index}: {exc}") from None
         world.append((frame.frame_index, tuple(engine.query())))
         target = engine.predict(TARGET_TYPE)
         predictions.append(target.box if target is not None else None)
@@ -57,18 +60,21 @@ def run_tracker(
 
 
 def score_scenarios(
-    scenarios: Sequence[Scenario], config: EngineConfig
+    scenarios: Mapping[str, Scenario], config: EngineConfig
 ) -> tuple[list[tuple[str, BucketStats]], int]:
     """Run both trackers over every scenario and aggregate per-subtask stats.
 
-    Also returns the number of scenarios whose target is never detected.
-    Every tracker excludes the same ones, because that depends only on the
-    detection stream.
+    ``scenarios`` is keyed by the path of each detection stream, which an
+    ``EngineError`` names. Also returns the number of scenarios whose target
+    is never detected, which depends only on the detection stream.
     """
     per_tracker: dict[str, list[VideoScores]] = {name: [] for name in TRACKERS}
-    for scenario in scenarios:
+    for path, scenario in scenarios.items():
         for name in TRACKERS:
-            run = run_tracker(scenario.inputs, name, config)
+            try:
+                run = run_tracker(scenario.inputs, name, config)
+            except EngineError as exc:
+                raise EngineError(f"{path}: {exc}") from None
             per_tracker[name].append(score_stream(run.predictions, scenario))
     rows: list[tuple[str, BucketStats]] = []
     excluded = 0

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from .alignment import align, compensate_camera_motion
 from .core import (
-    ATTACHED,
     CANDIDATE_PREFIX,
     LOST,
     VISIBLE,
@@ -70,9 +69,9 @@ class HypothesisOutcome(NamedTuple):
 _HELD_REASONS = {OCCLUDED: REASON_OCCLUDED, OUT_OF_VIEW: REASON_OUT_OF_VIEW}
 
 
-# The two helpers below make the tracks on the per-track paths of ``step``.
-# They pass every field positionally, which is cheaper than keywords or
-# ``._replace``.
+# The helpers below make the tracks and outcomes on the per-track paths of
+# ``step``. They pass every field positionally, which is cheaper than keywords
+# or ``._replace``.
 
 
 def _adopt(
@@ -113,6 +112,12 @@ def _restate(track: Anchor, status: str, confidence: float) -> Anchor:
     )
 
 
+def _outcome(track: Anchor, reason: str) -> HypothesisOutcome:
+    return HypothesisOutcome(
+        track.anchor_id, track.status, track.confidence, track.attributes.position, reason
+    )
+
+
 def step(
     model: WorldModel,
     frame: FrameInput,
@@ -132,6 +137,7 @@ def step(
     Percepts are taken in ``percept_id`` order, so the result depends on the
     frame's set of percepts, never on the order ``frame.percepts`` lists them.
     The stages pass anchor tuples; the successor model is built once, at the end.
+    Each outcome is read off the track the cycle built, pruned tracks included.
 
     Raises ``EngineError`` when a track of ``model`` was seen after
     ``model.frame_index``, or when a candidate whose object type starts with
@@ -157,8 +163,7 @@ def step(
             continue
 
     result = align(percepts, anchors + candidates, config)
-    percept_by_id = {p.percept_id: p for p in percepts}
-    match_for = {aid: percept_by_id[pid] for pid, aid, _cost in result.matches}
+    match_for = {track.anchor_id: percept for percept, track, _ in result.matches}
 
     # Match pass. A track's role is the store it sits in, never its id. Each
     # pass reads the tuples in ``tracked`` and refills the two stores.
@@ -194,9 +199,7 @@ def step(
                 target = anchors
             track = _adopt(track, anchor_id, percept, t, conf)
             target.append(track)
-            outcomes.append(
-                HypothesisOutcome(anchor_id, VISIBLE, conf, track.attributes.position, reason)
-            )
+            outcomes.append(_outcome(track, reason))
 
     anchors = propagate_attachments(tuple(anchors))
 
@@ -223,15 +226,7 @@ def step(
                 continue
             if track.parent is not None:
                 store.append(track)
-                outcomes.append(
-                    HypothesisOutcome(
-                        track.anchor_id,
-                        ATTACHED,
-                        track.confidence,
-                        track.attributes.position,
-                        REASON_PARENT_FOLLOW,
-                    )
-                )
+                outcomes.append(_outcome(track, REASON_PARENT_FOLLOW))
                 continue
             if store is candidates:
                 status = LOST
@@ -239,20 +234,14 @@ def step(
                 status = fate.get(track.anchor_id, track.status)
             track = _restate(track, status, track.confidence)
             conf, prune = update_confidence(track, False, config)
+            track = _restate(track, status, conf)
             if prune:
                 pruned_ids.add(track.anchor_id)
-                outcomes.append(
-                    HypothesisOutcome(
-                        track.anchor_id, status, conf, track.attributes.position, REASON_PRUNED
-                    )
-                )
+                outcomes.append(_outcome(track, REASON_PRUNED))
                 continue
-            track = _restate(track, status, conf)
             store.append(track)
             reason = _HELD_REASONS.get(status, REASON_DECAY)
-            outcomes.append(
-                HypothesisOutcome(track.anchor_id, status, conf, track.attributes.position, reason)
-            )
+            outcomes.append(_outcome(track, reason))
 
     if pruned_ids:
         # Children of pruned parents resume independent tracking in place;
@@ -265,10 +254,10 @@ def step(
         ]
 
     next_candidate = model.next_candidate
-    for pid in result.unmatched_percepts:
+    for percept in result.unmatched_percepts:
         cand = Anchor(
             anchor_id=f"{CANDIDATE_PREFIX}{next_candidate}",
-            attributes=percept_by_id[pid].attributes,
+            attributes=percept.attributes,
             confidence=0.0,
             status=VISIBLE,
             last_seen_frame=t,

@@ -261,7 +261,7 @@ class TestSolveAssignmentTies:
     in lexicographic order, so the exact outputs are pinned as well.
     """
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(values=_tied_matrices)
     def test_optimal_matching_with_no_tie_left_to_swap(self, values):
         got = solve_assignment(values)
@@ -332,27 +332,38 @@ class TestSolveAssignmentTies:
             assert sum(values[r, c] for r, c in got) == pytest.approx(want_cost, rel=1e-12)
 
 
+# Small integer boxes of three types, so costs land on both sides of tau and
+# tie often.
+_coord = st.integers(0, 120).map(float)
+_side = st.integers(1, 40).map(float)
+_attributes = st.builds(
+    Attributes,
+    st.sampled_from(("cube", "cone", "snitch")),
+    st.tuples(_coord, _coord),
+    st.tuples(_side, _side),
+)
+
+
 class TestAlign:
     def test_no_anchors_all_percepts_unmatched(self):
-        result = align(
-            [make_percept(0), make_percept(1, pos=(50.0, 50.0))],
-            (),
-            EngineConfig(),
-        )
+        percepts = [make_percept(0), make_percept(1, pos=(50.0, 50.0))]
+        result = align(percepts, (), EngineConfig())
         assert result.matches == ()
-        assert result.unmatched_percepts == (0, 1)
+        assert result.unmatched_percepts == tuple(percepts)
 
     def test_close_same_type_pair_matches(self):
         tracks = (make_anchor("cube0", pos=(100.0, 100.0)),)
-        result = align([make_percept(0, pos=(103.0, 100.0))], tracks, EngineConfig())
-        assert result.matches == ((0, "cube0", 9.0),)
+        percept = make_percept(0, pos=(103.0, 100.0))
+        result = align([percept], tracks, EngineConfig())
+        assert result.matches == ((percept, tracks[0], 9.0),)
 
     def test_pair_at_or_above_tau_is_demoted(self):
         # 84 px apart -> squared distance 7056 >= 6500
         tracks = (make_anchor("cube0", pos=(0.0, 0.0)),)
-        result = align([make_percept(0, pos=(84.0, 0.0))], tracks, EngineConfig())
+        percept = make_percept(0, pos=(84.0, 0.0))
+        result = align([percept], tracks, EngineConfig())
         assert result.matches == ()
-        assert result.unmatched_percepts == (0,)
+        assert result.unmatched_percepts == (percept,)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -376,4 +387,36 @@ class TestAlign:
             tuple(shift_anchor(a, 37.0) for a in anchors),
             config,
         )
-        assert [(m[0], m[1]) for m in base.matches] == [(m[0], m[1]) for m in shifted.matches]
+
+        def ids(result):
+            return [(p.percept_id, a.anchor_id) for p, a, _ in result.matches]
+
+        assert ids(base) == ids(shifted)
+
+    @settings(max_examples=200)
+    @given(
+        percept_attributes=st.lists(_attributes, max_size=5),
+        track_attributes=st.lists(_attributes, max_size=5),
+    )
+    def test_contract_holds_on_mixed_types(self, percept_attributes, track_attributes):
+        percepts = [Percept(i, a) for i, a in enumerate(percept_attributes)]
+        tracks = tuple(
+            Anchor(f"t{j}", a, 0.5, "visible", 0) for j, a in enumerate(track_attributes)
+        )
+        config = EngineConfig()
+        result = align(percepts, tracks, config)
+        values = build_cost_matrix(percepts, tracks, config).values
+
+        # The result holds the given records: look each one up by identity.
+        row = {id(p): r for r, p in enumerate(percepts)}
+        col = {id(a): c for c, a in enumerate(tracks)}
+        kept = [(row[id(p)], col[id(a)], cost) for p, a, cost in result.matches]
+        unmatched = [row[id(p)] for p in result.unmatched_percepts]
+        assert sorted([r for r, _, _ in kept] + unmatched) == list(range(len(percepts)))
+        assert unmatched == sorted(unmatched)
+        cols = [c for _, c, _ in kept]
+        assert len(set(cols)) == len(cols)
+        for r, c, cost in kept:
+            assert cost < config.tau and cost == values[r, c]
+        below_tau = [(r, c) for r, c in solve_assignment(values) if values[r, c] < config.tau]
+        assert [(r, c) for r, c, _ in kept] == below_tau

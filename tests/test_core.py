@@ -149,7 +149,7 @@ parent_maps = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(parent_of=parent_maps, name=st.sampled_from(NAMES + DANGLING))
 @example(parent_of={"n0": "n1", "n1": "n0"}, name="n2")
 @example(parent_of={"n0": "n0"}, name="n0")

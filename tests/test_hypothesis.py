@@ -151,7 +151,7 @@ COLLAPSED_PERCEPT = [SQUARE], [POINT]
 
 
 class TestClassifyUnmatchedBatch:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(anchor_boxes=st.lists(_box, max_size=6), percept_boxes=st.lists(_box, max_size=6))
     @example(*TOUCHING)
     @example(*CORNER)
@@ -366,7 +366,7 @@ def attachment_models(draw):
     return tuple(draw(st.permutations(list(anchors.values()))))
 
 
-@settings(max_examples=300, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(anchors=attachment_models())
 def test_propagation_matches_the_recursive_resolver_bit_for_bit(anchors):
     try:

@@ -437,6 +437,24 @@ class TestTruthFiles:
         assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
         assert_cli_error(capsys, f"{prefix}.truth.jsonl:2", "objects has no snitch")
 
+    @pytest.mark.parametrize(
+        "truth_size, box_size, where, message",
+        [
+            ([0, -5], [18, 18], "scn.truth.jsonl:2", r"objects\[0\]\.size components must be > 0"),
+            ([18, 18], [-18, 0], "preds.jsonl:2", r"box\.size components must be > 0"),
+        ],
+    )
+    def test_eval_reports_a_non_positive_size_and_exits_1(
+        self, tmp_path, capsys, truth_size, box_size, where, message
+    ):
+        objects = [{"name": "s", "type": "snitch", "pos": [0, 0], "size": truth_size}]
+        prefix = self.write(tmp_path, [truth_line(0), truth_line(2, objects=objects)])
+        preds = tmp_path / "preds.jsonl"
+        write_lines(preds, [{"frame": 0, "box": None},
+                            {"frame": 1, "box": {"pos": [50, 60], "size": box_size}}])
+        assert main(["eval", "--scenario", str(prefix), "--predictions", str(preds)]) == 1
+        assert_cli_error(capsys, tmp_path / where, message)
+
     def test_eval_names_the_prediction_file_on_a_frame_count_mismatch(self, tmp_path, capsys):
         prefix = self.write(tmp_path, [truth_line(0), truth_line(2)])
         preds = tmp_path / "preds.jsonl"
@@ -452,6 +470,7 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e30
 finite = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
 vec = st.tuples(finite, finite)
 positive = finite.map(abs).filter(lambda x: x > 0)
+box_size = st.tuples(positive, positive)
 score = st.sampled_from((-0.0, 0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0)
 word = st.text(max_size=6)
 detection_type = st.text(min_size=1, max_size=6).filter(lambda t: not t.startswith("cand"))
@@ -463,8 +482,8 @@ def detection_streams(draw):
     for index in sorted(draw(st.sets(st.integers(-10**9, 10**9), max_size=4))):
         ids = draw(st.lists(st.integers(-2**63, 2**63), unique=True, max_size=4))
         percepts = tuple(
-            Percept(pid, Attributes(draw(detection_type), draw(vec),
-                                    draw(st.tuples(positive, positive))), draw(score))
+            Percept(pid, Attributes(draw(detection_type), draw(vec), draw(box_size)),
+                    draw(score))
             for pid in ids
         )
         actions = draw(st.lists(st.tuples(word, st.lists(word, min_size=1, max_size=3)),
@@ -488,25 +507,25 @@ class TestRoundTrips:
     """Writing then reading gives back the input. Compared by ``repr``,
     because ``==`` takes -0.0 for 0.0."""
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(frames=detection_streams())
     def test_detection_streams(self, frames):
         got = round_trip(write_detection_stream, read_detection_stream, frames)
         assert repr(got) == repr(frames)
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(predictions=st.lists(st.none() | st.tuples(vec, vec), max_size=6))
+    @settings(max_examples=50)
+    @given(predictions=st.lists(st.none() | st.tuples(vec, box_size), max_size=6))
     def test_predictions(self, predictions):
         got = round_trip(write_predictions, read_predictions, predictions)
         assert repr(got) == repr(predictions)
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(data=st.data())
     def test_truth_streams(self, data):
         inputs = tuple(data.draw(detection_streams()))
         labels = tuple(data.draw(st.sampled_from(SUBTASKS)) for _ in inputs)
-        truth_object = st.tuples(word, word, st.tuples(vec, vec))
-        target = st.tuples(word, st.just(TARGET_TYPE), st.tuples(vec, vec))
+        truth_object = st.tuples(word, word, st.tuples(vec, box_size))
+        target = st.tuples(word, st.just(TARGET_TYPE), st.tuples(vec, box_size))
         # Each line holds the target, anywhere among up to two other objects.
         truth_line = st.tuples(target, st.lists(truth_object, max_size=2)).flatmap(
             lambda drawn: st.permutations([drawn[0], *drawn[1]])
@@ -693,7 +712,28 @@ class TestCli:
         assert main(["track", "--detections", str(path),
                      "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cost matrix entries too large to pad"), err
+        assert err.startswith(f"error: {path}: frame 1: cost matrix entries too large to pad"), err
+        assert "Traceback" not in err
+
+    def test_compare_names_the_file_and_frame_of_an_engine_error(self, tmp_path, capsys):
+        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
+        far = dict(cube, id=1, pos=[1e154, 10])
+        truth = {"camera": [0, 0], "snitch_label": "visible",
+                 "objects": [{"name": "snitch0", "type": "snitch", "pos": [10, 10],
+                              "size": [18, 18]}]}
+        write_lines(tmp_path / "a.detections.jsonl", [
+            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+        ])
+        write_lines(tmp_path / "a.truth.jsonl", [dict(truth, frame=0)])
+        path = tmp_path / "b.detections.jsonl"
+        write_lines(path, [
+            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+            {"frame": 4, "camera": [0, 0], "detections": [cube, far], "actions": []},
+        ])
+        write_lines(tmp_path / "b.truth.jsonl", [dict(truth, frame=0), dict(truth, frame=4)])
+        assert main(["compare", "--scenarios", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: frame 4: cost matrix entries too large to pad"), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("x", [1e154, 1e200], ids=["too-large-to-pad", "overflows-to-inf"])

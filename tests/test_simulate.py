@@ -612,7 +612,7 @@ def one_frame(centers, sizes, layers, camera=(0.0, 0.0)):
 class TestRenderFlags:
     """The array cover and view tests against the loop they replaced."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(layout=layouts())
     # Equal layers never cover each other.
     @example(layout=one_frame([(50.0, 50.0), (50.0, 50.0)], [(20.0, 20.0)] * 2, [1.0, 1.0]))

@@ -129,13 +129,7 @@ def test_a_contain_on_a_model_holding_a_cycle_raises_instead_of_hanging():
 
 
 # Shrinking a 100-frame scenario takes minutes; the failing seed is report enough.
-@settings(
-    max_examples=8,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+@settings(max_examples=8, phases=(Phase.explicit, Phase.generate))
 @given(seed=st.integers(0, 2**16), order=st.randoms(use_true_random=False))
 def test_output_does_not_depend_on_percept_order(seed, order):
     noise = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
@@ -372,13 +366,7 @@ STRAY_IDS = ("cone0", "cone1", "cube0", "cylinder0", "snitch0", "sphere0",
              "cone2", "cube1", "cube3", "sphere4", "cand0", "cand1", "cand7")
 
 
-@settings(
-    max_examples=30,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+@settings(max_examples=30, phases=(Phase.explicit, Phase.generate))
 @given(
     seed=st.integers(0, 2**16),
     miss_rate=st.floats(0.0, 0.5),
@@ -433,13 +421,7 @@ def shifted_streams(draw):
     return frames, poses
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+@settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
 @given(stream=shifted_streams())
 def test_camera_translation_moves_every_estimate_by_exactly_its_shift(stream):
     # Every coordinate is a small integer or half of one, so each sum,
