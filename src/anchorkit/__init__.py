@@ -14,6 +14,7 @@ from .core import (
     ConfigError,
     EngineConfig,
     EngineError,
+    FrameInput,
     Percept,
     WorldModel,
     validate_world_model,
@@ -36,7 +37,6 @@ from .hypothesis import (
 )
 from .tracker import (
     AnchoringEngine,
-    FrameInput,
     HypothesisOutcome,
     predict_target,
     query,

@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import ConfigError, EngineError
+from .core import EngineError
 from .io_jsonl import (
     load_engine_config,
     load_scenario,
@@ -92,21 +92,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         jitter_sigma=args.jitter_sigma,
         flicker_burst_length=args.burst,
     )
-    scenario_json = read_config_file(args.scenario_config) if args.scenario_config else None
-    for i in range(args.count):
-        seed = args.seed + i
-        if scenario_json is not None:
-            try:
-                config = scenario_config_from_json(
-                    dict(scenario_json, seed=seed) if args.count > 1 else scenario_json,
-                    default_seed=seed,
-                )
-            except ConfigError as exc:
-                raise ConfigError(f"{args.scenario_config}: {exc}") from None
-        else:
-            config = build_template(
-                args.template, seed, frames=args.frames, n_objects=args.objects, noise=noise
-            )
+    seeds = range(args.seed, args.seed + args.count)
+    if args.scenario_config:
+        configs = read_config_file(args.scenario_config, lambda raw: [
+            scenario_config_from_json(dict(raw, seed=seed) if args.count > 1 else raw, seed)
+            for seed in seeds
+        ])
+    else:
+        configs = [
+            build_template(args.template, seed, args.frames, args.objects, noise) for seed in seeds
+        ]
+    for i, config in enumerate(configs):
         record = generate(config)
         out.mkdir(parents=True, exist_ok=True)
         stem = args.name if args.count == 1 else f"{args.name}_{i:03d}"
@@ -115,7 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         meta = {
             "seed": config.seed,
             "frames": record.frames,
-            "template": "file" if scenario_json is not None else args.template,
+            "template": "file" if args.scenario_config else args.template,
             "viewport": list(config.viewport),
             "objects": [
                 {"name": o.name, "type": o.object_type, "size": list(o.size)}

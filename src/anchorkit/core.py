@@ -1,4 +1,4 @@
-"""Shared data model: percepts, anchors, the world model, and engine configuration."""
+"""Shared data model: percepts, frame inputs, anchors, the world model, and engine configuration."""
 
 from __future__ import annotations
 
@@ -158,6 +158,16 @@ class ActionEvent:
 
     name: str
     arguments: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class FrameInput:
+    """Everything the engine consumes for one frame."""
+
+    frame_index: int
+    percepts: tuple[Percept, ...]
+    camera_pose: Vec2 = (0.0, 0.0)
+    actions: tuple[ActionEvent, ...] = ()
 
 
 # The two actions with an effect, as in LA-CATER: ``contain(container,

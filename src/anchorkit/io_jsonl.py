@@ -54,11 +54,11 @@ from .core import (
     ConfigError,
     EngineConfig,
     EngineError,
+    FrameInput,
     Percept,
     Vec2,
 )
 from .metrics import SUBTASKS, TARGET_TYPE, Scenario
-from .tracker import FrameInput
 
 # Default thresholds suit clean synthetic detections; the assembly preset
 # carries the high-noise settings (slower anchoring, a higher anchoring gate).
@@ -180,15 +180,19 @@ def _parse_lines(path, parse_line) -> list:
     return done
 
 
-def read_config_file(path) -> dict:
-    """The top-level object of a JSON config file."""
+def read_config_file(path, build):
+    """``build`` applied to the top-level object of a JSON config file. Every
+    ``ConfigError``, from the file or from ``build``, names ``path``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    return raw
+    try:
+        return build(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # The keys of each object in a stream line, in the order errors list them.
@@ -439,8 +443,4 @@ def load_engine_config(spec: str) -> EngineConfig:
         raise ConfigError(
             f"config {spec!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file"
         )
-    raw = read_config_file(spec)
-    try:
-        return EngineConfig(**read_fields(raw, _ENGINE_FIELDS))
-    except ConfigError as exc:
-        raise ConfigError(f"{spec}: {exc}") from None
+    return read_config_file(spec, lambda raw: EngineConfig(**read_fields(raw, _ENGINE_FIELDS)))

@@ -10,8 +10,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Mapping, Sequence
 
-from .core import Box, EngineError, box_corners
-from .tracker import FrameInput
+from .core import Box, EngineError, FrameInput, box_corners
 
 # The task: localise the one object of this type, each frame labelled with a subtask.
 TARGET_TYPE = "snitch"

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Anchor, Box, EngineConfig, EngineError
+from .core import Anchor, Box, EngineConfig, EngineError, FrameInput
 from .heuristic import HeuristicTracker
 from .metrics import TARGET_TYPE, BucketStats, Scenario, VideoScores, aggregate, score_stream
-from .tracker import AnchoringEngine, FrameInput
+from .tracker import AnchoringEngine
 
 TRACKERS = ("aapa", "heuristic")
 

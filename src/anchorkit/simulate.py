@@ -25,12 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, EngineError, Percept, Vec2,
+    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, EngineError, FrameInput, Percept, Vec2,
     all_finite, ancestors, chain_position,
 )
 from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
 from .metrics import TARGET_TYPE, Scenario
-from .tracker import FrameInput
 
 MOTION_KINDS = ("slide", "pick_place", "contain", "uncontain")
 EVENT_KINDS = MOTION_KINDS + ("rotate",)

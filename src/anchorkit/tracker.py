@@ -7,7 +7,6 @@ for stream processing. ``query`` lists the anchors at the anchoring gate and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -18,11 +17,11 @@ from .core import (
     VISIBLE,
     OCCLUDED,
     OUT_OF_VIEW,
-    ActionEvent,
     Anchor,
     Attributes,
     EngineConfig,
     EngineError,
+    FrameInput,
     Percept,
     Vec2,
     WorldModel,
@@ -43,16 +42,6 @@ REASON_PARENT_FOLLOW = "parent_follow"
 REASON_DECAY = "decay"
 REASON_PRUNED = "pruned"
 REASON_NEWLY_ANCHORED = "newly_anchored"
-
-
-@dataclass(frozen=True)
-class FrameInput:
-    """Everything the engine consumes for one frame."""
-
-    frame_index: int
-    percepts: tuple[Percept, ...]
-    camera_pose: Vec2 = (0.0, 0.0)
-    actions: tuple[ActionEvent, ...] = ()
 
 
 class HypothesisOutcome(NamedTuple):
