@@ -37,7 +37,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--name", default="scenario", help="file name stem")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=300)
+    p.add_argument("--frames", type=int, default=None,
+                   help="frame count (default 300); templates only")
     p.add_argument("--template", choices=TEMPLATES, default="random")
     p.add_argument("--scenario-config", default=None,
                    help="JSON scenario description; overrides template and noise flags")
@@ -85,6 +86,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("error: --objects applies to the static and camera templates, "
               "not to a scenario config file", file=sys.stderr)
         return 1
+    if args.frames is not None and args.scenario_config:
+        print("error: --frames applies to the templates, not to a scenario config file",
+              file=sys.stderr)
+        return 1
     out = Path(args.out)
     noise = NoiseConfig(
         miss_rate=args.miss_rate,
@@ -99,8 +104,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for seed in seeds
         ])
     else:
+        frames = 300 if args.frames is None else args.frames
         configs = [
-            build_template(args.template, seed, args.frames, args.objects, noise) for seed in seeds
+            build_template(args.template, seed, frames, args.objects, noise) for seed in seeds
         ]
     for i, config in enumerate(configs):
         record = generate(config)

@@ -1,4 +1,4 @@
-"""Shared data model: percepts, frame inputs, anchors, the world model, and engine configuration."""
+"""Shared data model: percepts, frames, anchors, the world model, and engine configuration."""
 
 from __future__ import annotations
 
@@ -160,6 +160,12 @@ class ActionEvent:
     arguments: tuple[str, ...]
 
 
+# The two actions with an effect, as in LA-CATER: ``contain(container,
+# object)`` attaches the object below its container, ``uncontain`` frees it.
+CONTAIN = "contain"
+UNCONTAIN = "uncontain"
+
+
 @dataclass(frozen=True)
 class FrameInput:
     """Everything the engine consumes for one frame."""
@@ -168,12 +174,6 @@ class FrameInput:
     percepts: tuple[Percept, ...]
     camera_pose: Vec2 = (0.0, 0.0)
     actions: tuple[ActionEvent, ...] = ()
-
-
-# The two actions with an effect, as in LA-CATER: ``contain(container,
-# object)`` attaches the object below its container, ``uncontain`` frees it.
-CONTAIN = "contain"
-UNCONTAIN = "uncontain"
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ Of the actions, only ``contain`` and ``uncontain`` change the world model
 (``hypothesis.apply_action``); others are read and kept but do nothing.
 
 Config files (engine and scenario) are one JSON object each, read by
-``read_config_file``. Their fields pass the same checks as stream fields,
-and a key outside the known set is an error. An engine config takes
-``tau``, ``psi_mismatch``, ``conf_inc``, ``conf_dec``, ``kappa_anch`` and
-``field_of_view``. Every stream writer replaces its file only once the
-whole stream is written.
+``read_config_file``, which names the file in every error. Their fields
+pass the same checks as stream fields, and a key outside the known set
+is an error. An engine config takes ``tau``, ``psi_mismatch``,
+``conf_inc``, ``conf_dec``, ``kappa_anch`` and ``field_of_view``. Every
+stream writer replaces its file only once the whole stream is written.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ from .core import (
     CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, EngineError, FrameInput, Percept, Vec2,
     all_finite, ancestors, chain_position,
 )
-from .io_jsonl import FieldError, check_keys, integer, list_of, number, pair, read_fields, string
+from .io_jsonl import (
+    FieldError, check_keys, integer, list_of, number, pair, read_fields, size, string,
+)
 from .metrics import TARGET_TYPE, Scenario
 
 MOTION_KINDS = ("slide", "pick_place", "contain", "uncontain")
@@ -846,7 +848,7 @@ def _object_spec(entry: dict, label: str) -> ObjectSpec:
     return ObjectSpec(
         name=string(entry.get("name"), f"{label}.name"),
         object_type=string(entry.get("type"), f"{label}.type"),
-        size=pair(entry.get("size"), f"{label}.size"),
+        size=size(entry.get("size"), f"{label}.size"),
         start=pair(entry.get("start"), f"{label}.start"),
     )
 

@@ -233,14 +233,19 @@ def step(
             outcomes.append(_outcome(track, reason))
 
     if pruned_ids:
-        # Children of pruned parents resume independent tracking in place;
-        # they get reclassified on the next cycle.
-        anchors = [
-            a._replace(parent=None, parent_offset=None, status=LOST)
-            if a.parent in pruned_ids
-            else a
+        # Children of pruned parents are released in place, lost, and get
+        # reclassified next cycle; each child's outcome reports the released track.
+        released = {
+            a.anchor_id: a._replace(parent=None, parent_offset=None, status=LOST)
             for a in anchors
-        ]
+            if a.parent in pruned_ids
+        }
+        if released:
+            anchors = [released.get(a.anchor_id, a) for a in anchors]
+            outcomes = [
+                _outcome(released[o.anchor_id], o.reason) if o.anchor_id in released else o
+                for o in outcomes
+            ]
 
     next_candidate = model.next_candidate
     for percept in result.unmatched_percepts:

@@ -988,6 +988,8 @@ class TestScenarioConfigFiles:
             (scenario_json(counts={"cone": 3}), "counts is not a known key"),
             (scenario_json(event_mix={"slide": 1.0}), "event_mix is not a known key"),
             (scenario_json(cover_drop_fraction=0.8), "cover_drop_fraction is not a known key"),
+            (scenario_json(objects=[dict(CONE, size=[0, 5]), SNITCH]),
+             r"objects\[0\]\.size components must be > 0"),
         ],
     )
     def test_malformed_file_names_path_and_field(self, tmp_path, capsys, config, field):
@@ -1022,3 +1024,20 @@ class TestScenarioConfigFiles:
         assert meta["seed"] == 5
         assert meta["noise"] == {"miss_rate": 0.2, "ghost_rate": 0.0, "jitter_sigma": 0.0,
                                  "flicker_burst_length": 1, "ghost_clearance": 0.0}
+
+    def test_frames_is_an_error_with_a_scenario_config_file(self, tmp_path, capsys):
+        # The file sets its own frame count; a --frames flag is not silently dropped.
+        path = write_config(tmp_path / "scenario.json", scenario_json())
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario-config", path, "--frames", "120",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --frames applies to the templates, not to a scenario config file\n"
+        )
+        assert not out.exists()
+        # Without the flag the file's 40 frames are written; a template defaults to 300.
+        assert main(["simulate", "--scenario-config", path, "--out", str(out)]) == 0
+        assert main(["simulate", "--template", "random", "--out", str(tmp_path / "random")]) == 0
+        for directory, frames in [(out, 40), (tmp_path / "random", 300)]:
+            meta = json.loads((directory / "scenario.meta.json").read_text(encoding="utf-8"))
+            assert meta["frames"] == frames

@@ -450,3 +450,37 @@ def test_camera_translation_moves_every_estimate_by_exactly_its_shift(stream):
         else:
             (x, y), size = fixed
             assert moved == ((x - cx, y - cy), size)
+
+
+def test_a_child_released_by_its_pruned_parent_reports_the_released_track():
+    # The child comes first, so its parent_follow outcome is written before
+    # the parent is pruned; it must still describe the track the model holds.
+    child = make_anchor("snitch0", "snitch", status=ATTACHED, parent="cone0", offset=(0.0, 0.0))
+    parent = make_anchor("cone0", "cone", conf=0.05, status=LOST)
+    model = WorldModel(frame_index=0, anchors=(child, parent))
+    model, outcomes = step(model, frame(1), CONFIG, check_invariants=True)
+    released = by_id(model.anchors)["snitch0"]
+    assert (released.status, released.parent) == (LOST, None)
+    assert [(o.anchor_id, o.reason) for o in outcomes] == [
+        ("snitch0", "parent_follow"), ("cone0", "pruned")
+    ]
+    assert outcomes[0] == (
+        "snitch0", LOST, released.confidence, released.attributes.position, "parent_follow"
+    )
+
+
+@settings(max_examples=100, phases=(Phase.explicit, Phase.generate))
+@given(stream=shifted_streams())
+def test_every_outcome_matches_the_track_the_successor_model_holds(stream):
+    # Every position is in view and a lost anchor dies within three missed
+    # frames, so parents are pruned under their attached children.
+    frames, _ = stream
+    config = EngineConfig(conf_dec=0.4, field_of_view=(4096.0, 4096.0))
+    model = WorldModel()
+    for f in frames:
+        model, outcomes = step(model, f, config)
+        held = by_id(model.anchors + model.candidates)
+        for outcome in outcomes:
+            track = held.get(outcome.anchor_id)
+            if track is not None:
+                assert outcome[1:4] == (track.status, track.confidence, track.attributes.position)
