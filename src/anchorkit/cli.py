@@ -37,18 +37,17 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--name", default="scenario", help="file name stem")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=None,
-                   help="frame count (default 300); templates only")
-    p.add_argument("--template", choices=TEMPLATES, default="random")
+    p.add_argument("--frames", type=int, help="frame count; templates only")
+    p.add_argument("--template", choices=TEMPLATES, help="scenario template (default random)")
     p.add_argument("--scenario-config", default=None,
-                   help="JSON scenario description; overrides template and noise flags")
+                   help="JSON scenario description, instead of a template and its flags")
     p.add_argument("--count", type=int, default=1, help="number of scenarios (seed, seed+1, ...)")
     p.add_argument("--objects", type=int, default=None,
                    help="object count (2..8, default 8); static and camera templates only")
-    p.add_argument("--miss-rate", type=float, default=0.0)
-    p.add_argument("--ghost-rate", type=float, default=0.0)
-    p.add_argument("--jitter-sigma", type=float, default=0.0)
-    p.add_argument("--burst", type=int, default=1, help="miss/ghost burst length in frames")
+    p.add_argument("--miss-rate", type=float)
+    p.add_argument("--ghost-rate", type=float)
+    p.add_argument("--jitter-sigma", type=float)
+    p.add_argument("--burst", type=int, help="miss/ghost burst length in frames")
 
 
 def _add_track(sub: argparse._SubParsersAction) -> None:
@@ -82,32 +81,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.count < 1:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return 1
-    if args.objects is not None and args.scenario_config:
-        print("error: --objects applies to the static and camera templates, "
-              "not to a scenario config file", file=sys.stderr)
-        return 1
-    if args.frames is not None and args.scenario_config:
-        print("error: --frames applies to the templates, not to a scenario config file",
-              file=sys.stderr)
-        return 1
-    out = Path(args.out)
-    noise = NoiseConfig(
-        miss_rate=args.miss_rate,
-        ghost_rate=args.ghost_rate,
-        jitter_sigma=args.jitter_sigma,
-        flicker_burst_length=args.burst,
-    )
     seeds = range(args.seed, args.seed + args.count)
     if args.scenario_config:
-        configs = read_config_file(args.scenario_config, lambda raw: [
+        template_flags = ("template", "frames", "miss_rate", "ghost_rate", "jitter_sigma", "burst")
+        scopes = dict(objects="the static and camera templates",
+                      **dict.fromkeys(template_flags, "the templates"))
+        for flag, scope in scopes.items():
+            if getattr(args, flag) is not None:
+                print(f"error: --{flag.replace('_', '-')} applies to {scope}, "
+                      "not to a scenario config file", file=sys.stderr)
+                return 1
+        if args.seed < 0:  # a flag error, whether or not the file sets its own seed
+            print("error: seed must be >= 0", file=sys.stderr)
+            return 1
+        # Generated inside the reader, so that generation errors name the file too.
+        read_config_file(args.scenario_config, lambda raw: _write_scenarios(args, "file", (
             scenario_config_from_json(dict(raw, seed=seed) if args.count > 1 else raw, seed)
             for seed in seeds
-        ])
-    else:
-        frames = 300 if args.frames is None else args.frames
-        configs = [
-            build_template(args.template, seed, frames, args.objects, noise) for seed in seeds
-        ]
+        )))
+        return 0
+    flags = {"miss_rate": args.miss_rate, "ghost_rate": args.ghost_rate,
+             "jitter_sigma": args.jitter_sigma, "flicker_burst_length": args.burst}
+    noise = NoiseConfig(**{field: value for field, value in flags.items() if value is not None})
+    template = args.template or "random"
+    _write_scenarios(args, template, (
+        build_template(template, seed, args.frames, args.objects, noise) for seed in seeds
+    ))
+    return 0
+
+
+def _write_scenarios(args: argparse.Namespace, template: str, configs) -> None:
+    """Generate and write each config in turn: detections, truth and meta."""
+    out = Path(args.out)
     for i, config in enumerate(configs):
         record = generate(config)
         out.mkdir(parents=True, exist_ok=True)
@@ -117,7 +122,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         meta = {
             "seed": config.seed,
             "frames": record.frames,
-            "template": "file" if args.scenario_config else args.template,
+            "template": template,
             "viewport": list(config.viewport),
             "objects": [
                 {"name": o.name, "type": o.object_type, "size": list(o.size)}
@@ -129,7 +134,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
         print(f"wrote {out / stem}.{{detections,truth}}.jsonl")
-    return 0
 
 
 def _cmd_track(args: argparse.Namespace) -> int:

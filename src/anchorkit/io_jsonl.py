@@ -29,7 +29,8 @@ Of the actions, only ``contain`` and ``uncontain`` change the world model
 (``hypothesis.apply_action``); others are read and kept but do nothing.
 
 Config files (engine and scenario) are one JSON object each, read by
-``read_config_file``, which names the file in every error. Their fields
+``read_config_file``, which names the file in every error, including the
+errors of generating a scenario file's scenarios. Their fields
 pass the same checks as stream fields, and a key outside the known set
 is an error. An engine config takes ``tau``, ``psi_mismatch``,
 ``conf_inc``, ``conf_dec``, ``kappa_anch`` and ``field_of_view``. Every

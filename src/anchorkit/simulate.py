@@ -19,13 +19,13 @@ Conventions that keep noiseless scenes exactly trackable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, EngineError, FrameInput, Percept, Vec2,
+    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, ConfigError, FrameInput, Percept, Vec2,
     all_finite, ancestors, chain_position,
 )
 from .io_jsonl import (
@@ -58,7 +58,7 @@ RANDOM_LAYOUT = (("cone", 2), ("cube", 1), ("cylinder", 1), ("snitch", 1), ("sph
 RANDOM_EVENT_MIX = {"contain": 0.3, "pick_place": 0.15, "rotate": 0.1, "slide": 0.45}
 
 
-class SimulationError(EngineError):
+class SimulationError(ConfigError):
     """Infeasible scenario configuration or script."""
 
 
@@ -705,25 +705,18 @@ def _random_script(
 # Scenario templates
 
 
-def _grid_config(
-    template: str, seed: int, frames: int, n_objects: int, noise: NoiseConfig
-) -> ScenarioConfig:
-    """The static and camera templates: 2..8 objects on a jittered 4 x 2 grid
-    and no script; the camera template pans the viewport over them."""
-    if not (2 <= n_objects <= 8):
-        raise SimulationError(f"{template} template supports 2..8 objects")
-    camera = ((0, (0.0, 0.0)),)
-    if template == "camera":
-        if frames < 260:
-            raise SimulationError("camera template needs at least 260 frames")
-        # Integer waypoint deltas divisible by their spans keep poses exact.
-        camera = (
-            (0, (0.0, 0.0)),
-            (50, (0.0, 0.0)),
-            (150, (100.0, 0.0)),
-            (210, (100.0, 60.0)),
-            (300, (10.0, -30.0)),
-        )
+# The camera template's pan; integer deltas divisible by their spans keep poses exact.
+_CAMERA_PAN = (
+    (0, (0.0, 0.0)),
+    (50, (0.0, 0.0)),
+    (150, (100.0, 0.0)),
+    (210, (100.0, 60.0)),
+    (300, (10.0, -30.0)),
+)
+
+
+def _grid_config(seed: int, n_objects: int) -> ScenarioConfig:
+    """The static template: 2..8 objects on a jittered 4 x 2 grid, no script."""
     rng = np.random.default_rng(seed)
     slots = [(60.0 + 90.0 * col, 70.0 + 100.0 * row) for row in range(2) for col in range(4)]
     cycle = ("cube", "sphere", "cylinder", "cone")
@@ -742,14 +735,10 @@ def _grid_config(
         type_counts[object_type] = n + 1
         side = DEFAULT_SIZES[object_type]
         objects.append(ObjectSpec(f"{object_type}{n}", object_type, (side, side), (x, y)))
-    return ScenarioConfig(
-        seed=seed, frames=frames, objects=tuple(objects), script=(), camera=camera, noise=noise
-    )
+    return ScenarioConfig(seed=seed, objects=tuple(objects), script=())
 
 
-def _mixed_config(seed: int, frames: int, noise: NoiseConfig) -> ScenarioConfig:
-    if frames < 300:
-        raise SimulationError("mixed template needs at least 300 frames")
+def _mixed_config(seed: int) -> ScenarioConfig:
     rng = np.random.default_rng(seed)
     u = lambda a, b: float(rng.uniform(a, b))
     snitch_pos = (180.0 + u(-15, 15), 120.0 + u(-12, 12))
@@ -800,16 +789,14 @@ def _mixed_config(seed: int, frames: int, noise: NoiseConfig) -> ScenarioConfig:
         EventSpec("uncontain", "cone0", 246, 266, target="snitch0", dest=cone0_park),
         EventSpec("slide", "sphere0", 272, 290, dest=sphere_dest),
     )
-    return ScenarioConfig(seed=seed, frames=frames, objects=objects, script=script, noise=noise)
+    return ScenarioConfig(seed=seed, objects=objects, script=script)
 
 
-def _carried_config(seed: int, frames: int, noise: NoiseConfig) -> ScenarioConfig:
+def _carried_config(seed: int) -> ScenarioConfig:
     """Carried-heavy scenario with a distractor parked nearer than the
     container at the moment the target disappears (the container approaches
     to ~18-20 px before covering; the distractor sits 15 px out on the far
     side and is never majority-covered)."""
-    if frames < 220:
-        raise SimulationError("carried template needs at least 220 frames")
     rng = np.random.default_rng(seed)
     sx = 180.0 + float(rng.uniform(-10, 10))
     sy = 120.0 + float(rng.uniform(-10, 10))
@@ -830,7 +817,7 @@ def _carried_config(seed: int, frames: int, noise: NoiseConfig) -> ScenarioConfi
         EventSpec("slide", "cone0", 80, 135, dest=carry_end),
         EventSpec("uncontain", "cone0", 150, 176, target="snitch0", dest=retreat),
     )
-    return ScenarioConfig(seed=seed, frames=frames, objects=objects, script=script, noise=noise)
+    return ScenarioConfig(seed=seed, objects=objects, script=script)
 
 
 def _seed(value, label: str) -> int:
@@ -919,21 +906,23 @@ def scenario_config_from_json(raw: dict, default_seed: int = 0) -> ScenarioConfi
     return ScenarioConfig(**{"seed": default_seed, **read_fields(raw, _SCENARIO_FIELDS)})
 
 
-# Template name -> builder(seed, frames, n_objects, noise). Only the grid
-# templates use the object count; ``build_template`` rejects one for the rest.
+# Template name -> builder(seed, n_objects). Only the grid templates use the
+# object count; ``build_template`` rejects one for the rest.
 TEMPLATES = {
-    "static": lambda seed, frames, n, noise: _grid_config("static", seed, frames, n, noise),
-    "camera": lambda seed, frames, n, noise: _grid_config("camera", seed, frames, n, noise),
-    "mixed": lambda seed, frames, n, noise: _mixed_config(seed, frames, noise),
-    "carried": lambda seed, frames, n, noise: _carried_config(seed, frames, noise),
-    "random": lambda seed, frames, n, noise: ScenarioConfig(seed=seed, frames=frames, noise=noise),
+    "static": _grid_config,
+    "camera": lambda seed, n: replace(_grid_config(seed, n), camera=_CAMERA_PAN),
+    "mixed": lambda seed, n: _mixed_config(seed),
+    "carried": lambda seed, n: _carried_config(seed),
+    "random": lambda seed, n: ScenarioConfig(seed=seed),
 }
+# The fewest frames that each template's script or camera pan fits in.
+_MIN_FRAMES = {"camera": 260, "mixed": 300, "carried": 220}
 
 
 def build_template(
     template: str,
     seed: int,
-    frames: int = 300,
+    frames: int | None = None,
     n_objects: int | None = None,
     noise: NoiseConfig = NoiseConfig(),
 ) -> ScenarioConfig:
@@ -941,6 +930,8 @@ def build_template(
 
     Only the ``static`` and ``camera`` templates take ``n_objects`` (2..8,
     8 when it is None); passing it to another template is an error.
+    ``frames`` defaults to ``ScenarioConfig.frames`` and must reach the
+    template's minimum in ``_MIN_FRAMES``.
     """
     if template not in TEMPLATES:
         raise SimulationError(f"unknown template {template!r}")
@@ -948,4 +939,11 @@ def build_template(
         n_objects = 8
     elif template not in ("static", "camera"):
         raise SimulationError(f"the {template} template takes no object count")
-    return TEMPLATES[template](_seed(seed, "seed"), frames, n_objects, noise)
+    seed = _seed(seed, "seed")
+    if not (2 <= n_objects <= 8):
+        raise SimulationError(f"{template} template supports 2..8 objects")
+    minimum = _MIN_FRAMES.get(template, 0)
+    if frames is not None and frames < minimum:
+        raise SimulationError(f"{template} template needs at least {minimum} frames")
+    config = replace(TEMPLATES[template](seed, n_objects), noise=noise)
+    return config if frames is None else replace(config, frames=frames)

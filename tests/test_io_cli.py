@@ -913,8 +913,9 @@ class TestCli:
         ],
     )
     def test_simulate_fails_with_one_error_line(self, tmp_path, capsys, flags, config, message):
-        if config is not None:
-            flags = ["--scenario-config", write_config(tmp_path / "scenario.json", config)]
+        if config is not None:  # a scenario file's error names the file
+            path = write_config(tmp_path / "scenario.json", config)
+            flags, message = ["--scenario-config", path], f"{re.escape(path)}: {message}"
         assert main(["simulate", *flags, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         lines = err.splitlines()
@@ -990,6 +991,13 @@ class TestScenarioConfigFiles:
             (scenario_json(cover_drop_fraction=0.8), "cover_drop_fraction is not a known key"),
             (scenario_json(objects=[dict(CONE, size=[0, 5]), SNITCH]),
              r"objects\[0\]\.size components must be > 0"),
+            # Errors that generation finds name the file too.
+            (scenario_json(frames=1), "need at least two frames"),
+            (scenario_json(noise={"miss_rate": 2.0}), r"miss_rate must lie in \[0, 1\], got 2.0"),
+            (scenario_json(script=[dict(SLIDE, subject="ball7")]),
+             "event 0: unknown subject 'ball7'"),
+            (scenario_json(camera=[[10, [0, 0]], [5, [0, 0]]]),
+             "camera waypoint 1: frame 5 must come after 10"),
         ],
     )
     def test_malformed_file_names_path_and_field(self, tmp_path, capsys, config, field):
@@ -1025,6 +1033,22 @@ class TestScenarioConfigFiles:
         assert meta["noise"] == {"miss_rate": 0.2, "ghost_rate": 0.0, "jitter_sigma": 0.0,
                                  "flicker_burst_length": 1, "ghost_clearance": 0.0}
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--template", "mixed"), ("--miss-rate", "0.1"), ("--ghost-rate", "0.1"),
+         ("--jitter-sigma", "1"), ("--burst", "2")],
+    )
+    def test_template_flags_are_errors_with_a_scenario_config_file(
+        self, tmp_path, capsys, flag, value
+    ):
+        path = write_config(tmp_path / "scenario.json", scenario_json())
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario-config", path, flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies to the templates, not to a scenario config file\n"
+        )
+        assert not out.exists()
+
     def test_frames_is_an_error_with_a_scenario_config_file(self, tmp_path, capsys):
         # The file sets its own frame count; a --frames flag is not silently dropped.
         path = write_config(tmp_path / "scenario.json", scenario_json())
@@ -1041,3 +1065,24 @@ class TestScenarioConfigFiles:
         for directory, frames in [(out, 40), (tmp_path / "random", 300)]:
             meta = json.loads((directory / "scenario.meta.json").read_text(encoding="utf-8"))
             assert meta["frames"] == frames
+
+
+def readme_json_blocks() -> list[dict]:
+    """Every fenced ``json`` block of README.md, parsed."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.DOTALL)]
+
+
+def test_readme_config_examples_run(tmp_path, capsys):
+    # The documented scenario and engine config formats still run as shown.
+    blocks = readme_json_blocks()
+    (scenario,) = [block for block in blocks if "script" in block]
+    (engine,) = [block for block in blocks if "tau" in block]
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario-config", write_config(tmp_path / "sc.json", scenario),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "scenario.meta.json").read_text(encoding="utf-8"))
+    assert meta["frames"] == 120
+    assert main(["track", "--detections", str(out / "scenario.detections.jsonl"),
+                 "--config", write_config(tmp_path / "engine.json", engine),
+                 "--predictions-out", str(tmp_path / "p.jsonl")]) == 0

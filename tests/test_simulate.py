@@ -357,6 +357,19 @@ class TestScriptValidation:
         with pytest.raises(SimulationError, match=f"the {template} template takes no object count"):
             build_template(template, 1, n_objects=3)
 
+    @pytest.mark.parametrize(
+        "template, seed, frames, n_objects, message",
+        [
+            ("mixed", -1, None, 3, "the mixed template takes no object count"),
+            ("camera", -1, None, 9, "seed must be >= 0"),
+            ("camera", 1, 10, 9, r"camera template supports 2\.\.8 objects"),
+        ],
+        ids=["object-count-before-seed", "seed-before-object-range", "object-range-before-frames"],
+    )
+    def test_build_template_checks_in_order(self, template, seed, frames, n_objects, message):
+        with pytest.raises(EngineError, match=message):
+            build_template(template, seed, frames=frames, n_objects=n_objects)
+
 
 class TestCorrupt:
     def frames_of(self, record):
