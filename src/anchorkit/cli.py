@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import EngineError
+from .core import ConfigError, EngineError
 from .io_jsonl import (
     load_engine_config,
     load_scenario,
@@ -36,7 +36,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("simulate", help="generate scenario files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--name", default="scenario", help="file name stem")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="first seed (default 0); a scenario file that sets seed takes none")
     p.add_argument("--frames", type=int, help="frame count; templates only")
     p.add_argument("--template", choices=TEMPLATES, help="scenario template (default random)")
     p.add_argument("--scenario-config", default=None,
@@ -81,7 +82,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.count < 1:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return 1
-    seeds = range(args.seed, args.seed + args.count)
+    seed = 0 if args.seed is None else args.seed
     if args.scenario_config:
         template_flags = ("template", "frames", "miss_rate", "ghost_rate", "jitter_sigma", "burst")
         scopes = dict(objects="the static and camera templates",
@@ -91,21 +92,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"error: --{flag.replace('_', '-')} applies to {scope}, "
                       "not to a scenario config file", file=sys.stderr)
                 return 1
-        if args.seed < 0:  # a flag error, whether or not the file sets its own seed
+        if seed < 0:  # a flag error, whether or not the file sets its own seed
             print("error: seed must be >= 0", file=sys.stderr)
             return 1
-        # Generated inside the reader, so that generation errors name the file too.
-        read_config_file(args.scenario_config, lambda raw: _write_scenarios(args, "file", (
-            scenario_config_from_json(dict(raw, seed=seed) if args.count > 1 else raw, seed)
-            for seed in seeds
-        )))
+
+        def write(raw: dict) -> None:  # in the reader, so generation errors name the file
+            if "seed" in raw and args.seed is not None:
+                raise ConfigError("sets seed, so --seed does not apply")
+            first = scenario_config_from_json(raw, seed)
+            _write_scenarios(args, "file", (
+                dataclasses.replace(first, seed=first.seed + i) for i in range(args.count)))
+
+        read_config_file(args.scenario_config, write)
         return 0
     flags = {"miss_rate": args.miss_rate, "ghost_rate": args.ghost_rate,
              "jitter_sigma": args.jitter_sigma, "flicker_burst_length": args.burst}
     noise = NoiseConfig(**{field: value for field, value in flags.items() if value is not None})
     template = args.template or "random"
     _write_scenarios(args, template, (
-        build_template(template, seed, args.frames, args.objects, noise) for seed in seeds
+        build_template(template, seed + i, args.frames, args.objects, noise) for i in range(args.count)
     ))
     return 0
 
@@ -141,7 +146,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
         print("error: --world-out is only available with --tracker=aapa", file=sys.stderr)
         return 1
     if not args.world_out and not args.predictions_out:
-        print("nothing to write (pass --world-out and/or --predictions-out)", file=sys.stderr)
+        print("error: nothing to write (pass --world-out and/or --predictions-out)",
+              file=sys.stderr)
         return 1
     config = load_engine_config(args.config)
     frames = read_detection_stream(args.detections)

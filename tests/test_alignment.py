@@ -187,6 +187,8 @@ class TestSolveAssignment:
             solve_assignment(np.array([[1.0, -2.0]]))
         with pytest.raises(ValueError):
             solve_assignment(np.array([[np.inf]]))
+        with pytest.raises(EngineError, match="cost matrix must be 2-dimensional"):
+            solve_assignment(np.array([1.0, 2.0]))
 
     def test_rejects_costs_too_large_to_pad(self):
         # The dummy column would cost 10 * 3e307 + 1, which is not finite.

@@ -24,6 +24,7 @@ from anchorkit.io_jsonl import (
     write_world_stream,
 )
 from anchorkit.metrics import SUBTASKS, TARGET_TYPE, Scenario
+from anchorkit.pipeline import run_tracker
 from anchorkit.simulate import TEMPLATES, NoiseConfig, build_template, generate
 from anchorkit.tracker import FrameInput
 from anchorkit.core import ActionEvent, Percept
@@ -755,7 +756,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "outputs, message",
         [
-            ([], "nothing to write"),
+            ([], "error: nothing to write"),
             (["--tracker", "heuristic", "--world-out", "w.jsonl"],
              "error: --world-out is only available with --tracker=aapa"),
         ],
@@ -768,6 +769,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message), err
         assert not (tmp_path / "w.jsonl").exists()
+
+    def test_run_tracker_rejects_an_unknown_tracker(self):
+        # The CLI's --tracker choices stop this before run_tracker; a Python caller is not.
+        with pytest.raises(ValueError, match="unknown tracker 'kalman'"):
+            run_tracker([], "kalman", EngineConfig())
 
     def test_missing_files_and_flags_fail_nonzero(self, tmp_path, capsys):
         assert main(["track", "--detections", str(tmp_path / "nope.jsonl"),
@@ -907,6 +913,14 @@ class TestCli:
                          "ghosts need a viewport of at least 40 x 40", id="ghost-viewport"),
             pytest.param([], {"seed": 1, "frames": 60, "viewport": [0, 0]},
                          "viewport must be positive", id="empty-viewport"),
+            pytest.param([], {"seed": 1, "frames": 300, "viewport": [130, 130]},
+                         "could not place objects without crowding", id="crowded-layout"),
+            pytest.param([], {"seed": 1, "viewport": [120, 120],
+                              "objects": [{"name": "cone0", "type": "cone",
+                                           "size": [40, 40], "start": [60, 60]},
+                                          {"name": "snitch0", "type": "snitch",
+                                           "size": [18, 18], "start": [30, 90]}]},
+                         "no feasible destination at distance", id="no-destination"),
             pytest.param(["--template", "carried", "--jitter-sigma", "1e308", "--frames", "220"],
                          None, r".*scenario\.detections\.jsonl:\d+: Out of range float",
                          id="infinite-detections"),
@@ -1015,6 +1029,35 @@ class TestScenarioConfigFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be >= 0"), err
         assert "Traceback" not in err
+
+    def test_seed_flag_is_an_error_with_a_seeded_file(self, tmp_path, capsys):
+        # The file owns the fields it sets: its seed is not silently overridden or dropped.
+        path = write_config(tmp_path / "scenario.json", scenario_json())
+        out = tmp_path / "out"
+        for count in ("1", "2"):
+            assert main(["simulate", "--scenario-config", path, "--seed", "5",
+                         "--count", count, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: sets seed, so --seed does not apply\n"
+            )
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, seeds",
+        [
+            (scenario_json(), ["--count", "3"], [1, 2, 3]),
+            ({k: v for k, v in scenario_json().items() if k != "seed"},
+             ["--seed", "5", "--count", "2"], [5, 6]),
+        ],
+        ids=["file-seed", "flag-seed"],
+    )
+    def test_count_steps_from_the_one_seed(self, tmp_path, capsys, config, flags, seeds):
+        path = write_config(tmp_path / "scenario.json", config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario-config", path, *flags, "--out", str(out)]) == 0
+        recorded = [json.loads(meta.read_text(encoding="utf-8"))["seed"]
+                    for meta in sorted(out.glob("*.meta.json"))]
+        assert recorded == seeds
 
     def test_meta_records_the_generated_seed_and_noise(self, tmp_path, capsys):
         noise = {"miss_rate": 0.1, "ghost_rate": 0.05, "jitter_sigma": 0.5,

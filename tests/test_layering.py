@@ -1,10 +1,13 @@
 """Module layering: each module of the package imports only the modules
 below it. The readers, the simulator and the scorer build or score frames
-without the engine; only ``pipeline`` and ``cli`` import ``tracker``."""
+without the engine; only ``pipeline`` and ``cli`` import ``tracker``. The
+package root imports nothing, so importing a module loads only its layers."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import anchorkit
 PACKAGE = Path(anchorkit.__file__).parent
 
 ALLOWED = {
+    "__init__": set(),
     "core": set(),
     "alignment": {"core"},
     "hypothesis": {"core"},
@@ -50,10 +54,23 @@ def package_imports(module: str) -> set[str]:
 
 
 def test_every_module_has_a_layer():
-    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     assert modules == ALLOWED.keys()
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_a_module_imports_only_the_layers_below_it(module):
     assert package_imports(module) - ALLOWED[module] == set()
+
+
+def test_the_readers_and_the_scorer_load_without_numpy():
+    """Run in a fresh interpreter: this test session has numpy loaded already."""
+    code = (
+        "import sys, anchorkit.io_jsonl, anchorkit.metrics, anchorkit.heuristic; "
+        "print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert result.stdout.strip() == "[]"
