@@ -2,12 +2,16 @@
 
 A dissimilarity matrix over (position, size) pairs is minimized by optimal
 one-to-one assignment, and matches at or above the cost threshold are
-discarded. ``compensate_camera_motion`` moves tracks into the next frame's
+discarded. A frame of at most ``_SMALL_CELLS`` pairs is built and matched on
+Python floats, and where every percept's cheapest track is strict and no two
+percepts share it, that matching is taken without the solver; the result is
+the same. ``compensate_camera_motion`` moves tracks into the next frame's
 image coordinates; the engine calls it before actions and alignment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,9 +74,12 @@ def compensate_camera_motion(
     return tuple(shifted)
 
 
-# No overflow warning: ``solve_assignment`` rejects a cost that overflowed to
-# inf, and the product ``np.where`` discards may overflow harmlessly.
-@np.errstate(over="ignore")
+# At most this many cells, a cost matrix is built and solved on Python floats,
+# where numpy's per-call set-up costs more than the arithmetic it saves. Square
+# frames whose row minima collide break even at about 64 cells.
+_SMALL_CELLS = 64
+
+
 def build_cost_matrix(
     percepts: Sequence[Percept], anchors: Sequence[Anchor], config: EngineConfig
 ) -> CostMatrix:
@@ -86,8 +93,25 @@ def build_cost_matrix(
     """
     n_p, n_a = len(percepts), len(anchors)
     if n_p == 0 or n_a == 0:
-        values = np.zeros((n_p, n_a), dtype=float)
-    else:
+        return CostMatrix(np.zeros((n_p, n_a), dtype=float))
+    if n_p * n_a <= _SMALL_CELLS:
+        # The same operations in the same order, on Python floats.
+        psi = config.psi_mismatch
+        tracks = [(k, x, y, w, h) for k, (x, y), (w, h) in (a.attributes for a in anchors)]
+        rows = []
+        for percept in percepts:
+            kind, (x, y), (w, h) = percept.attributes
+            row = []
+            for other, ax, ay, aw, ah in tracks:
+                dx, dy = x - ax, y - ay
+                dw, dh = w - aw, h - ah
+                cost = (dx * dx + dw * dw) + (dy * dy + dh * dh)
+                row.append(cost if other == kind else cost * psi)
+            rows.append(row)
+        return CostMatrix(np.array(rows, dtype=float))
+    # No overflow warning: ``solve_assignment`` rejects a cost that overflowed
+    # to inf, and the product ``np.where`` discards may overflow harmlessly.
+    with np.errstate(over="ignore"):
         # x, y, w and h of every percept, then every anchor, one row per
         # axis; object types become integer codes from one dict.
         codes: dict[str, int] = {}
@@ -109,19 +133,15 @@ def build_cost_matrix(
     return CostMatrix(values)
 
 
-# Above this many pairs ``_canonicalize`` first looks for a cost-neutral swap
-# with numpy, which costs more than the Python sweep on a few pairs.
+# Above this many pairs ``solve_assignment`` first looks for a cost-neutral
+# swap with numpy, which costs more than the Python sweep on a few pairs.
 _SWEEP_CUTOFF = 16
 
 
-def _canonicalize(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> list[tuple[int, int]]:
+def _canonicalize(pairs: list[tuple[int, int]], values: Sequence) -> list[tuple[int, int]]:
     # Resolve cost ties deterministically: sweep pairwise swaps that keep the
     # total cost exactly equal, handing the lower row the lower column. The
-    # pairs come in ascending row order.
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    if len(pairs) > _SWEEP_CUTOFF and not _has_neutral_swap(rows, cols, values):
-        # The sweep would pass once over the pairs and swap none.
-        return pairs
+    # pairs come in ascending row order; ``values`` is a list of rows.
     changed = True
     while changed:
         changed = False
@@ -129,7 +149,7 @@ def _canonicalize(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> lis
             ri, ci = pairs[i]
             for k in range(i + 1, len(pairs)):
                 rk, ck = pairs[k]
-                if ci > ck and values[ri, ci] + values[rk, ck] == values[ri, ck] + values[rk, ci]:
+                if ci > ck and values[ri][ci] + values[rk][ck] == values[ri][ck] + values[rk][ci]:
                     pairs[i] = (ri, ck)
                     pairs[k] = (rk, ci)
                     ri, ci = pairs[i]
@@ -155,7 +175,11 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
     Rectangular matrices are padded to square with constant-cost dummies
     (cost-neutral for which real pairs win; dummy pairs are dropped from the
     result). Ties between equal-cost optima are broken toward giving the
-    lowest row index the lowest column.
+    lowest row index the lowest column. A matrix of at most ``_SMALL_CELLS``
+    cells is solved on Python floats: where it has no more rows than columns
+    and every row has one strict minimum, in a column no other row's minimum
+    is in, those minima are the solver's own result and are taken without
+    calling it. The result is the same either way.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -163,6 +187,14 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
     n_rows, n_cols = values.shape
     if n_rows == 0 or n_cols == 0:
         return []
+    if values.size <= _SMALL_CELLS:
+        rows = values.tolist()
+        mins = list(map(min, rows))
+        # A finite sum rules out inf and NaN (a guard on the extremes would
+        # miss NaN) and overflow of the padding; any other matrix takes the
+        # array path, which raises or pads as it always has.
+        if math.isfinite(10.0 * sum(map(sum, rows)) + 1.0) and min(mins) >= 0.0:
+            return _solve_small(rows, mins, n_cols)
     if not np.isfinite(values).all() or (values < 0).any():
         raise EngineError("cost matrix entries must be finite and non-negative")
 
@@ -179,7 +211,34 @@ def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
     # The row indices come back in ascending order.
     rows, cols = linear_sum_assignment(square)
     real = (rows < n_rows) & (cols < n_cols)
-    return _canonicalize(rows[real], cols[real], values)
+    rows, cols = rows[real], cols[real]
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    if len(pairs) > _SWEEP_CUTOFF and not _has_neutral_swap(rows, cols, values):
+        # The sweep would pass once over the pairs and swap none.
+        return pairs
+    # Row views: ``values[r][c]`` on the 2-D array itself is slower.
+    return _canonicalize(pairs, list(values))
+
+
+def _solve_small(rows: list[list[float]], mins: list[float], n_cols: int) -> list[tuple[int, int]]:
+    # ``solve_assignment`` on the lists of a small, finite, non-negative
+    # matrix, given the minimum of each row.
+    n_rows = len(rows)
+    # The solver starts from zero duals and gives each row in turn its
+    # cheapest free column, computing 0 + c - 0 - 0. With one strict minimum
+    # per row, in distinct columns, that is every row's minimum, and the pad
+    # rows take the columns left over. A matrix with more rows than columns
+    # never has distinct minimum columns.
+    cols = [row.index(best) for row, best in zip(rows, mins) if row.count(best) == 1]
+    if len(set(cols)) == n_rows:
+        # The sweep stays: a swap can keep a rounded total equal.
+        return _canonicalize(list(enumerate(cols)), rows)
+    n = max(n_rows, n_cols)
+    pad = 10.0 * max(map(max, rows)) + 1.0
+    square = [row + [pad] * (n - n_cols) for row in rows] + [[pad] * n] * (n - n_rows)
+    # A square matrix's row indices come back as 0, 1, ..., n - 1.
+    found = linear_sum_assignment(square)[1].tolist()[:n_rows]
+    return _canonicalize([(r, c) for r, c in enumerate(found) if c < n_cols], rows)
 
 
 def align(

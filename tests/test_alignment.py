@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from anchorkit import alignment
 from anchorkit.alignment import (
     _has_neutral_swap,
     align,
@@ -189,6 +190,9 @@ class TestSolveAssignment:
             solve_assignment(np.array([[np.inf]]))
         with pytest.raises(EngineError, match="cost matrix must be 2-dimensional"):
             solve_assignment(np.array([1.0, 2.0]))
+        # A guard on the maximum and minimum alone would let NaN through.
+        with pytest.raises(EngineError, match="finite and non-negative"):
+            solve_assignment(np.array([[1.0, np.nan]]))
 
     def test_rejects_costs_too_large_to_pad(self):
         # The dummy column would cost 10 * 3e307 + 1, which is not finite.
@@ -282,6 +286,9 @@ class TestSolveAssignmentTies:
             # Brute force's first optimum leaves row 2 out, not row 4.
             ([[1, 1, 0, 1], [1, 0, 0, 0], [1, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 1]],
              [(0, 0), (1, 2), (2, 1), (3, 3)]),
+            # Each row's minimum is strict and in its own column, but the
+            # swapped total rounds to the same float, so the sweep swaps.
+            ([[2.0**53, 2.0**53 - 1], [2.0**53, 2.0**53 + 2]], [(0, 0), (1, 1)]),
         ],
     )
     def test_tied_optimum_chosen(self, values, pairs):
@@ -422,3 +429,100 @@ class TestAlign:
             assert cost < config.tau and cost == values[r, c]
         below_tau = [(r, c) for r, c in solve_assignment(values) if values[r, c] < config.tau]
         assert [(r, c) for r, c, _ in kept] == below_tau
+
+
+def _small_side(scale: str, size: int):
+    # Integers tie often; huge coordinates overflow their squares to inf
+    # (past 1e154) or their padded sums (past 1e153).
+    number = {
+        "integer": st.integers(0, 6).map(float),
+        "float": st.floats(0.0, 300.0),
+        "huge": st.floats(-1e154, 1e154) | st.floats(-1e160, 1e160),
+    }[scale]
+    attributes = st.builds(
+        Attributes,
+        st.sampled_from(("cube", "cone", "snitch")),
+        st.tuples(number, number),
+        st.tuples(number, number),
+    )
+    return st.lists(attributes, min_size=size, max_size=size)
+
+
+# Wide, square and tall frames of up to 8 x 8 boxes.
+_small_frames = st.tuples(
+    st.sampled_from(("integer", "float", "huge")), st.integers(0, 8), st.integers(0, 8)
+).flatmap(lambda t: st.tuples(_small_side(t[0], t[1]), _small_side(t[0], t[2])))
+
+
+# Matrices of up to 3 x 3 entries on either side of 2**53, where floats go
+# from 1 apart to 2 apart and a sum of two entries rounds.
+_rounding_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.integers(-1, 2), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda cells: np.array(cells, dtype=float).reshape(shape) + 2.0**53)
+)
+
+
+def _solve_or_error(values: np.ndarray):
+    try:
+        # Two costs near the float maximum overflow when the tie sweep adds
+        # them: numpy warns on its scalars, Python floats do not, and both
+        # compare inf alike.
+        with np.errstate(over="ignore"):
+            return solve_assignment(values)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def _on_both_paths(run):
+    """``run()`` as it is, then on the numpy path (the cutoff set to 0)."""
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alignment, "_SMALL_CELLS", 0)
+        return got, run()
+
+
+class TestSmallFrames:
+    """Frames of at most ``_SMALL_CELLS`` pairs are built and solved on Python
+    floats; the numpy path is the reference."""
+
+    @settings(max_examples=300)
+    @given(frame=_small_frames, psi=st.sampled_from((1.0, 3.7, 5.0)))
+    def test_same_costs_and_pairs_as_the_array_path(self, frame, psi):
+        percepts = [Percept(i, a) for i, a in enumerate(frame[0])]
+        tracks = [Anchor(f"t{j}", a, 0.5, "visible", 0) for j, a in enumerate(frame[1])]
+        config = EngineConfig(psi_mismatch=psi)
+
+        def run():
+            values = build_cost_matrix(percepts, tracks, config).values
+            return values, _solve_or_error(values)
+
+        (got_values, got), (want_values, want) = _on_both_paths(run)
+        assert got_values.dtype == want_values.dtype
+        assert np.array_equal(got_values, want_values)
+        assert got == want
+
+    @settings(max_examples=300)
+    @given(values=_rounding_matrices)
+    def test_same_pairs_as_the_array_path_where_sums_round(self, values):
+        got, want = _on_both_paths(lambda: _solve_or_error(values))
+        assert got == want
+
+    def test_align_builds_and_solves_once_per_call(self, monkeypatch):
+        calls = []
+        for name in ("build_cost_matrix", "solve_assignment"):
+            original = getattr(alignment, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(alignment, name, spy)
+        for n in (3, 9):  # 9 cells, then 81: one frame on each side of the cutoff
+            assert (n * n <= alignment._SMALL_CELLS) == (n == 3)
+            calls.clear()
+            percepts = [make_percept(i, pos=(30.0 * i, 0.0)) for i in range(n)]
+            tracks = tuple(make_anchor(f"a{i}", pos=(30.0 * i + 1.0, 0.0)) for i in range(n))
+            result = align(percepts, tracks, EngineConfig())
+            assert len(result.matches) == n
+            assert sorted(calls) == ["build_cost_matrix", "solve_assignment"]
