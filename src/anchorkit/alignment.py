@@ -1,12 +1,12 @@
 """Percept-to-anchor correspondence for consecutive frames.
 
-A dissimilarity matrix over (position, size) pairs is minimized by optimal
-one-to-one assignment, and matches at or above the cost threshold are
-discarded. A frame of at most ``_SMALL_CELLS`` pairs is built and matched on
-Python floats, and where every percept's cheapest track is strict and no two
-percepts share it, that matching is taken without the solver; the result is
-the same. ``compensate_camera_motion`` moves tracks into the next frame's
-image coordinates; the engine calls it before actions and alignment.
+A dissimilarity matrix over (position, size) pairs is capped at the
+threshold ``tau``, and a least-total one-to-one assignment on the capped
+matrix gives the matches: its pairs below ``tau``, which together have the
+most total ``tau - cost``. A frame of at most ``_SMALL_CELLS`` pairs is built
+and read on Python floats, and where no two percepts share a cheapest kept
+track, those pairs are taken without the solver. ``compensate_camera_motion`` moves tracks into the next frame's image
+coordinates; the engine calls it before actions and alignment.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def compensate_camera_motion(
     return tuple(shifted)
 
 
-# At most this many cells, a cost matrix is built and solved on Python floats,
-# where numpy's per-call set-up costs more than the arithmetic it saves. Square
-# frames whose row minima collide break even at about 64 cells.
+# At most this many cells, a cost matrix is built and its kept cells found on
+# Python floats, where numpy's per-call set-up costs more than the arithmetic
+# it saves.
 _SMALL_CELLS = 64
 
 
@@ -109,8 +109,8 @@ def build_cost_matrix(
                 row.append(cost if other == kind else cost * psi)
             rows.append(row)
         return CostMatrix(np.array(rows, dtype=float))
-    # No overflow warning: ``solve_assignment`` rejects a cost that overflowed
-    # to inf, and the product ``np.where`` discards may overflow harmlessly.
+    # No overflow warning: a cost that overflowed to inf is never kept, and
+    # the product ``np.where`` discards may overflow harmlessly.
     with np.errstate(over="ignore"):
         # x, y, w and h of every percept, then every anchor, one row per
         # axis; object types become integer codes from one dict.
@@ -133,135 +133,128 @@ def build_cost_matrix(
     return CostMatrix(values)
 
 
-# Above this many pairs ``solve_assignment`` first looks for a cost-neutral
-# swap with numpy, which costs more than the Python sweep on a few pairs.
-_SWEEP_CUTOFF = 16
+def solve_assignment(values: np.ndarray, tau: float = math.inf) -> list[tuple[int, int]]:
+    """The kept pairs of a least-total matching on ``min(values, tau)``.
 
+    A cell is kept when its cost is below ``tau``, so an infinite cost never
+    is; NaN or a negative cost is an error. The pairs come back in ascending
+    row order, all on kept cells, with the most total ``tau - cost`` any
+    matching of kept cells has (with the default ``tau``: the most pairs,
+    then the least total cost). They leave no move of a pair to a lower
+    free row or column of equal cost, and no swap of two pairs' columns
+    over kept cells that keeps their total and hands the lower row the
+    lower column; a sum that overflows is no tie.
 
-def _canonicalize(pairs: list[tuple[int, int]], values: Sequence) -> list[tuple[int, int]]:
-    # Resolve cost ties deterministically: sweep pairwise swaps that keep the
-    # total cost exactly equal, handing the lower row the lower column. The
-    # pairs come in ascending row order; ``values`` is a list of rows.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pairs)):
-            ri, ci = pairs[i]
-            for k in range(i + 1, len(pairs)):
-                rk, ck = pairs[k]
-                if ci > ck and values[ri][ci] + values[rk][ck] == values[ri][ck] + values[rk][ci]:
-                    pairs[i] = (ri, ck)
-                    pairs[k] = (rk, ci)
-                    ri, ci = pairs[i]
-                    changed = True
-    return pairs
-
-
-def _has_neutral_swap(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bool:
-    # The sweep's test, with the same additions, on every inverted pair
-    # (i < k and c_i > c_k): the only pairs it can swap.
-    if (cols[1:] > cols[:-1]).all():
-        return False
-    i, k = np.nonzero(cols[:, None] > cols)
-    inverted = i < k
-    i, k = i[inverted], k[inverted]
-    ri, ci, rk, ck = rows[i], cols[i], rows[k], cols[k]
-    return bool((values[ri, ci] + values[rk, ck] == values[ri, ck] + values[rk, ci]).any())
-
-
-def solve_assignment(values: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-total-cost one-to-one matching of min(rows, cols) pairs.
-
-    Rectangular matrices are padded to square with constant-cost dummies
-    (cost-neutral for which real pairs win; dummy pairs are dropped from the
-    result). Ties between equal-cost optima are broken toward giving the
-    lowest row index the lowest column. A matrix of at most ``_SMALL_CELLS``
-    cells is solved on Python floats: where it has no more rows than columns
-    and every row has one strict minimum, in a column no other row's minimum
-    is in, those minima are the solver's own result and are taken without
-    calling it. The result is the same either way.
+    Rows and columns without a kept cell take no part. Where no two of the
+    other rows share a cheapest kept column (the lowest among equals), those
+    cells are taken; otherwise ``linear_sum_assignment`` solves the capped
+    matrix of the rows and columns left, without padding. The kept cells of
+    a matrix of at most ``_SMALL_CELLS`` cells are found on Python floats.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise EngineError("cost matrix must be 2-dimensional")
-    n_rows, n_cols = values.shape
-    if n_rows == 0 or n_cols == 0:
+    if values.size == 0:
         return []
+    if not values.min() >= 0.0:
+        raise EngineError("cost matrix entries must be non-negative and not NaN")
+    # Each row's kept cells as {col: cost}, in ascending column order.
+    kept: dict[int, dict[int, float]] = {}
     if values.size <= _SMALL_CELLS:
-        rows = values.tolist()
-        mins = list(map(min, rows))
-        # A finite sum rules out inf and NaN (a guard on the extremes would
-        # miss NaN) and overflow of the padding; any other matrix takes the
-        # array path, which raises or pads as it always has.
-        if math.isfinite(10.0 * sum(map(sum, rows)) + 1.0) and min(mins) >= 0.0:
-            return _solve_small(rows, mins, n_cols)
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise EngineError("cost matrix entries must be finite and non-negative")
-
-    n = max(n_rows, n_cols)
-    if n_rows == n_cols:
-        square = values
+        for r, row in enumerate(values.tolist()):
+            cells = {}
+            for c, v in enumerate(row):
+                if v < tau:
+                    cells[c] = v
+            if cells:
+                kept[r] = cells
     else:
-        pad = 10.0 * float(values.max()) + 1.0
-        if not np.isfinite(pad):
-            raise EngineError(f"cost matrix entries too large to pad: {float(values.max())}")
-        square = np.full((n, n), pad, dtype=float)
-        square[:n_rows, :n_cols] = values
+        r_kept, c_kept = np.nonzero(values < tau)
+        for r, c, v in zip(r_kept.tolist(), c_kept.tolist(), values[r_kept, c_kept].tolist()):
+            kept.setdefault(r, {})[c] = v
 
-    # The row indices come back in ascending order.
-    rows, cols = linear_sum_assignment(square)
-    real = (rows < n_rows) & (cols < n_cols)
-    rows, cols = rows[real], cols[real]
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    if len(pairs) > _SWEEP_CUTOFF and not _has_neutral_swap(rows, cols, values):
-        # The sweep would pass once over the pairs and swap none.
-        return pairs
-    # Row views: ``values[r][c]`` on the 2-D array itself is slower.
-    return _canonicalize(pairs, list(values))
+    # No matching gives a row more than its cheapest kept cell, so where the
+    # rows' cheapest cells (the lowest column among equals) lie in distinct
+    # columns, they are a best matching. ``min`` with a key costs more than
+    # reading a row of one cell.
+    col_of: dict[int, int] = {}
+    row_of: dict[int, int] = {}
+    for r, cells in kept.items():
+        c = min(cells, key=cells.__getitem__) if len(cells) > 1 else next(iter(cells))
+        if c in row_of:
+            col_of = _solve_capped(values, kept, tau)
+            row_of = {c: r for r, c in col_of.items()}
+            break
+        col_of[r] = c
+        row_of[c] = r
+    while _move_a_tie(col_of, row_of, kept):
+        pass
+    return sorted(col_of.items())
 
 
-def _solve_small(rows: list[list[float]], mins: list[float], n_cols: int) -> list[tuple[int, int]]:
-    # ``solve_assignment`` on the lists of a small, finite, non-negative
-    # matrix, given the minimum of each row.
-    n_rows = len(rows)
-    # The solver starts from zero duals and gives each row in turn its
-    # cheapest free column, computing 0 + c - 0 - 0. With one strict minimum
-    # per row, in distinct columns, that is every row's minimum, and the pad
-    # rows take the columns left over. A matrix with more rows than columns
-    # never has distinct minimum columns.
-    cols = [row.index(best) for row, best in zip(rows, mins) if row.count(best) == 1]
-    if len(set(cols)) == n_rows:
-        # The sweep stays: a swap can keep a rounded total equal.
-        return _canonicalize(list(enumerate(cols)), rows)
-    n = max(n_rows, n_cols)
-    pad = 10.0 * max(map(max, rows)) + 1.0
-    square = [row + [pad] * (n - n_cols) for row in rows] + [[pad] * n] * (n - n_rows)
-    # A square matrix's row indices come back as 0, 1, ..., n - 1.
-    found = linear_sum_assignment(square)[1].tolist()[:n_rows]
-    return _canonicalize([(r, c) for r, c in enumerate(found) if c < n_cols], rows)
+def _solve_capped(values: np.ndarray, kept: dict, tau: float) -> dict[int, int]:
+    # ``linear_sum_assignment`` on ``min(values, tau)`` over the rows and
+    # columns with a kept cell; the kept pairs of its matching, as {row: col}.
+    rows = list(kept)
+    cols = sorted({c for cells in kept.values() for c in cells})
+    if tau == math.inf:
+        # A cap above every kept total ranks matchings by their number of
+        # kept pairs first, as a large enough finite tau does.
+        tau = 1.0 + 2.0 * sum(sum(cells.values()) for cells in kept.values())
+    capped = np.minimum(values[np.ix_(rows, cols)], tau)
+    if tau == math.inf and sum(map(len, kept.values())) < capped.size:
+        raise EngineError("kept costs sum past the float range; give a finite tau")
+    found_rows, found_cols = linear_sum_assignment(capped)
+    pairs = ((rows[i], cols[j]) for i, j in zip(found_rows.tolist(), found_cols.tolist()))
+    return {r: c for r, c in pairs if c in kept[r]}
+
+
+def _move_a_tie(col_of: dict[int, int], row_of: dict[int, int], kept: dict) -> bool:
+    # Make one move of a pair to a lower free row or column of equal cost,
+    # or one total-keeping swap over kept cells that hands the lower row the
+    # lower column, and say whether there was one.
+    for r, cells in kept.items():
+        c = col_of.get(r)
+        if c is None:
+            # A free row takes a higher row's column at equal cost.
+            for d, w in cells.items():
+                s = row_of.get(d)
+                if s is not None and s > r and kept[s][d] == w:
+                    col_of[r], row_of[d] = d, r
+                    del col_of[s]
+                    return True
+            continue
+        v = cells[c]
+        for d, w in cells.items():
+            if d >= c:
+                break
+            s = row_of.get(d)
+            if s is None:
+                if w == v:
+                    col_of[r], row_of[d] = d, r
+                    del row_of[c]
+                    return True
+            elif s > r and c in kept[s] and v + kept[s][d] == w + kept[s][c] < math.inf:
+                col_of[r], col_of[s], row_of[d], row_of[c] = d, c, r, s
+                return True
+    return False
 
 
 def align(
     percepts: Sequence[Percept], tracks: Sequence[Anchor], config: EngineConfig
 ) -> AlignmentResult:
-    """Cost matrix, assignment, and threshold filtering.
+    """Cost matrix and assignment on the pairs below ``config.tau``.
 
     ``tracks`` are the columns in the order given (the engine passes its
     anchors, then its candidates, which fixes how cost ties break), at
-    positions already in the percepts' frame. Assigned pairs with cost >=
-    tau are dropped, which leaves their percepts unmatched. The result holds
-    the records of ``percepts`` and ``tracks`` themselves, not their ids.
+    positions already in the percepts' frame. A percept with no kept pair
+    stays unmatched. The result holds the records of ``percepts`` and
+    ``tracks`` themselves, not their ids.
     """
     values = build_cost_matrix(percepts, tracks, config).values
-    pairs = solve_assignment(values)
-
-    matches = []
-    matched_rows: set[int] = set()
-    for r, c in pairs:
-        value = float(values[r, c])
-        if value < config.tau:
-            matches.append((percepts[r], tracks[c], value))
-            matched_rows.add(r)
-
-    unmatched = tuple(p for r, p in enumerate(percepts) if r not in matched_rows)
-    return AlignmentResult(tuple(matches), unmatched)
+    pairs = solve_assignment(values, config.tau)
+    matched = {r for r, _ in pairs}
+    return AlignmentResult(
+        tuple((percepts[r], tracks[c], values.item(r, c)) for r, c in pairs),
+        tuple(p for r, p in enumerate(percepts) if r not in matched),
+    )

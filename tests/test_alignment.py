@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,7 +13,6 @@ from scipy.optimize import linear_sum_assignment
 
 from anchorkit import alignment
 from anchorkit.alignment import (
-    _has_neutral_swap,
     align,
     build_cost_matrix,
     compensate_camera_motion,
@@ -21,24 +21,40 @@ from anchorkit.alignment import (
 from anchorkit.core import Anchor, Attributes, EngineConfig, EngineError, Percept
 
 
-def brute_force_assignment(values: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Exhaustive oracle: first strict minimum in lexicographic enumeration order."""
-    n_rows, n_cols = values.shape
-    best_pairs: list[tuple[int, int]] = []
-    best_cost = float("inf")
+def _matchings(n_rows: int, n_cols: int):
+    """Every matching of min(n_rows, n_cols) pairs, in lexicographic
+    enumeration order, each as pairs in ascending row order."""
     if n_rows <= n_cols:
         for cols in itertools.permutations(range(n_cols), n_rows):
-            cost = sum(values[r, c] for r, c in enumerate(cols))
-            if cost < best_cost:
-                best_cost = cost
-                best_pairs = list(enumerate(cols))
+            yield list(enumerate(cols))
     else:
         for rows in itertools.permutations(range(n_rows), n_cols):
-            cost = sum(values[r, c] for c, r in enumerate(rows))
-            if cost < best_cost:
-                best_cost = cost
-                best_pairs = sorted((r, c) for c, r in enumerate(rows))
-    return best_pairs, best_cost
+            yield sorted((r, c) for c, r in enumerate(rows))
+
+
+def brute_force_assignment(
+    values: np.ndarray, tau: float = math.inf
+) -> tuple[list[tuple[int, int]], float]:
+    """Exhaustive oracle. With the default ``tau``: the first matching of
+    strictly least total cost in lexicographic enumeration order, and that
+    total. With a finite ``tau``: the kept pairs (cost below ``tau``) of the
+    first matching with the strictly greatest total of ``tau - cost`` over its
+    kept pairs, and that total."""
+    if tau == math.inf:
+        def total(pairs):
+            return sum(values[r, c] for r, c in pairs)
+
+        best = min(_matchings(*values.shape), key=total)
+        return best, total(best)
+
+    def kept(pairs):
+        return [(r, c) for r, c in pairs if values[r, c] < tau]
+
+    def gain(pairs):
+        return sum(tau - values[r, c] for r, c in kept(pairs))
+
+    best = max(_matchings(*values.shape), key=gain)
+    return kept(best), gain(best)
 
 
 def make_anchor(aid, kind="cube", pos=(0.0, 0.0), size=(20.0, 20.0)):
@@ -184,20 +200,38 @@ class TestSolveAssignment:
         assert solve_assignment(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
 
     def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            solve_assignment(np.array([[1.0, -2.0]]))
-        with pytest.raises(ValueError):
-            solve_assignment(np.array([[np.inf]]))
+        # An infinite cost is never kept, at any tau.
+        assert solve_assignment(np.array([[np.inf]])) == []
+        assert solve_assignment(np.array([[np.inf, 1.0], [2.0, np.inf]])) == [(0, 1), (1, 0)]
+        assert solve_assignment(np.array([[np.inf, 1.0], [2.0, np.inf]]), 1.5) == [(0, 1)]
         with pytest.raises(EngineError, match="cost matrix must be 2-dimensional"):
             solve_assignment(np.array([1.0, 2.0]))
-        # A guard on the maximum and minimum alone would let NaN through.
-        with pytest.raises(EngineError, match="finite and non-negative"):
-            solve_assignment(np.array([[1.0, np.nan]]))
+        # NaN and negative costs raise on either side of ``_SMALL_CELLS``.
+        for n in (2, 9):
+            assert (n * n <= alignment._SMALL_CELLS) == (n == 2)
+            for bad in (-2.0, np.nan, -np.inf):
+                values = np.ones((n, n))
+                values[-1, 0] = bad
+                with pytest.raises(EngineError, match="non-negative and not NaN"):
+                    solve_assignment(values)
 
-    def test_rejects_costs_too_large_to_pad(self):
-        # The dummy column would cost 10 * 3e307 + 1, which is not finite.
-        with pytest.raises(EngineError, match="too large to pad"):
-            solve_assignment(np.array([[3e307], [1.0]]))
+    def test_an_infinite_tau_ranks_by_kept_pairs_first(self):
+        # Rows 0 and 1 can only take column 0, so no matching of kept cells
+        # pairs all three rows; the cap stands in for the missing ones.
+        values = np.array([[5.0, np.inf, np.inf], [4.0, np.inf, np.inf], [np.inf, 1.0, 1.0]])
+        assert solve_assignment(values) == [(1, 0), (2, 1)]
+        with pytest.raises(EngineError, match="kept costs sum past the float range"):
+            solve_assignment(values * 1e307)
+
+    def test_a_sum_that_overflows_is_no_tie(self):
+        # Both totals overflow to inf; the cheaper matching stays.
+        big, bigger = 1e308, 1.5e308
+        assert solve_assignment(np.array([[bigger, big], [big, bigger]])) == [(0, 1), (1, 0)]
+        # The frame a hypothesis property drew near 9.5e153: costs just over
+        # half the float maximum, whose tie test overflowed in numpy scalars.
+        a = 8.988465674311582e307
+        values = np.array([[0.0, a, 0.0], [0.0, a, 0.0], [a, 2.2e276, a]])
+        assert solve_assignment(values) == [(0, 0), (1, 2), (2, 1)]
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(12345)
@@ -228,17 +262,34 @@ _tied_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
-def assert_full_matching_with_no_tie_left(values: np.ndarray, got) -> None:
-    """min(rows, cols) pairs in ascending row order, each column once, and no
-    pair whose swap keeps the total and hands the lower row the lower column."""
+# Matrices of up to 6 x 6 integers 0-3 and inf, for tau = 3: many cells sit
+# at or above tau, and the kept ones tie often.
+_capped_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.sampled_from((0.0, 1.0, 2.0, 3.0, math.inf)),
+        min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1],
+    ).map(lambda cells: np.array(cells).reshape(shape))
+)
+
+
+def assert_no_tie_left(values: np.ndarray, got, tau: float = math.inf) -> None:
+    """Pairs in ascending row order on kept cells (below ``tau``), each column
+    once; no pair has a lower free row or column of equal cost, and no two
+    pairs swap over kept cells to an equal total that hands the lower row the
+    lower column."""
     rows = [r for r, _ in got]
     cols = [c for _, c in got]
-    assert len(got) == min(values.shape)
     assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
-    for i, (ri, ci) in enumerate(got):
-        for rk, ck in got[i + 1 :]:
-            swapped = values[ri, ck] + values[rk, ci]
-            assert not (ci > ck and values[ri, ci] + values[rk, ck] == swapped)
+    assert all(values[r, c] < tau for r, c in got)
+    free_rows = set(range(values.shape[0])) - set(rows)
+    free_cols = set(range(values.shape[1])) - set(cols)
+    for r, c in got:
+        assert not any(values[r, d] == values[r, c] for d in free_cols if d < c)
+        assert not any(values[s, c] == values[r, c] for s in free_rows if s < r)
+    for (ri, ci), (rk, ck) in itertools.combinations(got, 2):
+        if ci > ck and values[ri, ck] < tau and values[rk, ci] < tau:
+            assert values[ri, ci] + values[rk, ck] != values[ri, ck] + values[rk, ci]
 
 
 def large_matrices() -> list[tuple[str, np.ndarray]]:
@@ -262,9 +313,10 @@ def large_matrices() -> list[tuple[str, np.ndarray]]:
 class TestSolveAssignmentTies:
     """Which of several equal-cost optima ``solve_assignment`` returns.
 
-    The tie canonicalisation hands the lower row the lower column wherever a
-    pairwise swap keeps the total equal. That is not always the first optimum
-    in lexicographic order, so the exact outputs are pinned as well.
+    The contract is local: no pair moves to a lower free row or column of
+    equal cost, and no total-keeping swap over kept cells hands the lower row
+    the lower column. That is not always the first optimum in lexicographic
+    order, so the exact outputs are pinned as well.
     """
 
     @settings(max_examples=150)
@@ -272,8 +324,18 @@ class TestSolveAssignmentTies:
     def test_optimal_matching_with_no_tie_left_to_swap(self, values):
         got = solve_assignment(values)
         _, want_cost = brute_force_assignment(values)
-        assert_full_matching_with_no_tie_left(values, got)
+        assert len(got) == min(values.shape)
+        assert_no_tie_left(values, got)
         assert sum(values[r, c] for r, c in got) == want_cost
+
+    @settings(max_examples=200)
+    @given(values=_capped_matrices)
+    def test_most_kept_total_with_no_tie_left(self, values):
+        got, on_arrays = _on_both_paths(lambda: solve_assignment(values, 3.0))
+        _, want_gain = brute_force_assignment(values, 3.0)
+        assert got == on_arrays
+        assert_no_tie_left(values, got, 3.0)
+        assert sum(3.0 - values[r, c] for r, c in got) == want_gain
 
     @pytest.mark.parametrize(
         "values, pairs",
@@ -281,11 +343,11 @@ class TestSolveAssignmentTies:
             # Brute force's first optimum is [(0, 0), (1, 1), (2, 3), (3, 2)].
             ([[0, 2, 0, 3], [2, 0, 1, 3], [3, 1, 3, 3], [2, 0, 1, 2]],
              [(0, 0), (1, 2), (2, 1), (3, 3)]),
-            # Brute force's first optimum is [(0, 0), (1, 2)].
-            ([[1, 1, 0], [2, 2, 0]], [(0, 1), (1, 2)]),
-            # Brute force's first optimum leaves row 2 out, not row 4.
+            # Row 0 moves to the lower free column of equal cost.
+            ([[1, 1, 0], [2, 2, 0]], [(0, 0), (1, 2)]),
+            # Row 2 is left out: no lower free row costs the same as a pair.
             ([[1, 1, 0, 1], [1, 0, 0, 0], [1, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 1]],
-             [(0, 0), (1, 2), (2, 1), (3, 3)]),
+             [(0, 0), (1, 1), (3, 3), (4, 2)]),
             # Each row's minimum is strict and in its own column, but the
             # swapped total rounds to the same float, so the sweep swaps.
             ([[2.0**53, 2.0**53 - 1], [2.0**53, 2.0**53 + 2]], [(0, 0), (1, 1)]),
@@ -302,12 +364,12 @@ class TestSolveAssignmentTies:
             values = [[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)]
             out.append(solve_assignment(np.array(values, dtype=float)))
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
-        assert digest == "688e46c83a4d1d8d5eb132bc67141163188d8496958476183ffd9277d9d033a4"
+        assert digest == "341dbea0ba657cf291ca49c6c675336754529187ecbf5b960d4586274d257c25"
 
     def test_outputs_on_a_large_fixed_batch_are_pinned(self):
         out = [solve_assignment(values) for _, values in large_matrices()]
         digest = hashlib.sha256(repr(out).encode()).hexdigest()
-        assert digest == "32eef4e69f49fc58aa47dea7efaf4ee946b6824c8abd0153e02bcd3dfd476616"
+        assert digest == "fda358554957f6dd17f8ac647a1cfe9d4487c4ee05c25e896f976f4f978f248d"
 
     def test_one_cost_neutral_swap_among_many_pairs_is_made(self):
         # 20 rows, one tie: rows a and a+1 cost 1 on either assignment, and
@@ -321,21 +383,12 @@ class TestSolveAssignmentTies:
             values[a, a + 1] = 0.0
             assert solve_assignment(values) == [(i, i) for i in range(20)]
 
-    def test_ascending_columns_on_many_pairs_skip_the_sweep(self):
-        # 20 pairs in ascending column order: no pair is inverted, so there is
-        # no neutral swap to make, even where every swap keeps the total.
-        values = np.ones((20, 20))
-        np.fill_diagonal(values, 0.0)
-        identity = [(i, i) for i in range(20)]
-        assert solve_assignment(values) == identity
-        index = np.arange(20)
-        assert not _has_neutral_swap(index, index, np.ones((20, 20)))
-
     @pytest.mark.parametrize("kind", ["integer", "half", "continuous"])
     def test_no_tie_left_to_swap_on_large_matrices(self, kind):
         for _, values in (m for m in large_matrices() if m[0] == kind):
             got = solve_assignment(values)
-            assert_full_matching_with_no_tie_left(values, got)
+            assert len(got) == min(values.shape)
+            assert_no_tie_left(values, got)
             best_rows, best_cols = linear_sum_assignment(values)
             want_cost = values[best_rows, best_cols].sum()
             assert sum(values[r, c] for r, c in got) == pytest.approx(want_cost, rel=1e-12)
@@ -427,13 +480,12 @@ class TestAlign:
         assert len(set(cols)) == len(cols)
         for r, c, cost in kept:
             assert cost < config.tau and cost == values[r, c]
-        below_tau = [(r, c) for r, c in solve_assignment(values) if values[r, c] < config.tau]
-        assert [(r, c) for r, c, _ in kept] == below_tau
+        assert [(r, c) for r, c, _ in kept] == solve_assignment(values, config.tau)
 
 
 def _small_side(scale: str, size: int):
     # Integers tie often; huge coordinates overflow their squares to inf
-    # (past 1e154) or their padded sums (past 1e153).
+    # (past 1e154) or the sums of two costs (past 1e153).
     number = {
         "integer": st.integers(0, 6).map(float),
         "float": st.floats(0.0, 300.0),
@@ -463,13 +515,9 @@ _rounding_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
 )
 
 
-def _solve_or_error(values: np.ndarray):
+def _solve_or_error(values: np.ndarray, tau: float = math.inf):
     try:
-        # Two costs near the float maximum overflow when the tie sweep adds
-        # them: numpy warns on its scalars, Python floats do not, and both
-        # compare inf alike.
-        with np.errstate(over="ignore"):
-            return solve_assignment(values)
+        return solve_assignment(values, tau)
     except EngineError as exc:
         return type(exc), str(exc)
 
@@ -487,15 +535,19 @@ class TestSmallFrames:
     floats; the numpy path is the reference."""
 
     @settings(max_examples=300)
-    @given(frame=_small_frames, psi=st.sampled_from((1.0, 3.7, 5.0)))
-    def test_same_costs_and_pairs_as_the_array_path(self, frame, psi):
+    @given(
+        frame=_small_frames,
+        psi=st.sampled_from((1.0, 3.7, 5.0)),
+        tau=st.sampled_from((6500.0, math.inf)),
+    )
+    def test_same_costs_and_pairs_as_the_array_path(self, frame, psi, tau):
         percepts = [Percept(i, a) for i, a in enumerate(frame[0])]
         tracks = [Anchor(f"t{j}", a, 0.5, "visible", 0) for j, a in enumerate(frame[1])]
         config = EngineConfig(psi_mismatch=psi)
 
         def run():
             values = build_cost_matrix(percepts, tracks, config).values
-            return values, _solve_or_error(values)
+            return values, _solve_or_error(values, tau)
 
         (got_values, got), (want_values, want) = _on_both_paths(run)
         assert got_values.dtype == want_values.dtype

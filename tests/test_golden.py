@@ -58,14 +58,14 @@ GOLDEN = {
         "b6ffc6a27218a31ae47ae0e402358c6ecaa47bfb67b2d85cce3c5b16514a5f01",
     ),
     ("benchmark", "random", 0): (
-        "8142c84069a5c5f55ec259abc2642cec57d6c03e13a7b7e900f4e0ea8c9051ad",
+        "e8f5997556a8f820a2dd3b3a6b7951c217cf8af55307bcaa498e22888eff788a",
         "4dd5adc7c261fbf18d2be39211bd371f22fe03ea11fd711adf91629977008ea4",
-        "97c45634e33c3cab6509a630c478894d6d1d0a1d115e214f3ae451e22ab7f7bf",
+        "8df67c9bd6b3ed19cf14d22839d7f874e4bab5c1ad521f727ed2f25513ed617e",
     ),
     ("benchmark", "random", 1): (
-        "2d18ec3d60445084912dc15a7fc7dc98a682647dc219c7f953c7e69ce84a714c",
-        "4c8b1033c8d98df48a58650dd2ae0e0d6fa4d7cade4bbe52ea3b38e215215941",
-        "f0a7cc1223cb06cf3ac38bfdb47b13b3dadcd73b5eaa2e54119db41597586ee8",
+        "8d98217d0933907ab156f4f35d027461c7ae015a78daf621ec7da6a60eabd5e1",
+        "c5cde43f99ac5c01dfbd95a4ea9ec9f714a41927374b7da32bbcc8dcc1351b23",
+        "58a6e5688988657e9eb126a29ae39e89cfdaa8d89a3bbd9e46ea42bb22f1fe8a",
     ),
     ("assembly", "camera", 0): (
         "bf3a9544e3c4672bd177080274e43059a888e0d2af02592d337a09f0dbcf90f8",
@@ -84,9 +84,9 @@ def _sha(data: bytes) -> str:
 # light noise, and one cone that contains, carries and releases a cube.
 # Hashes as in GOLDEN.
 CROWD_GOLDEN = (
-    "413bb378f744f8833c9d923ec896e83af0f573b724a28238b519bd93c5de2560",
+    "7af1782d791c561260ac2b7354aa4ca56d6f3f96128f7dae101a92c085b48de7",
     "57989bba1d22e48d0f638247f8b3acad2ef5a23eb4a17f7dd83492302cd336d2",
-    "a843b0baafb02a93d54eb7b8003ba00fd964fd67a3a0608519a2b7e367c7988e",
+    "90a6791527902d742b506a9f877686f9b1031442f54670937e332f7c20b7d5f2",
 )
 
 

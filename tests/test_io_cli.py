@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorkit import alignment
 from anchorkit.cli import main
-from anchorkit.core import ATTACHED, Anchor, Attributes, ConfigError, EngineConfig
+from anchorkit.core import ATTACHED, Anchor, Attributes, ConfigError, EngineConfig, EngineError
 from anchorkit.io_jsonl import (
     StreamFormatError,
     load_engine_config,
@@ -48,6 +49,24 @@ def sample_frames():
             (ActionEvent("contain", ("cone0", "snitch0")),),
         ),
     ]
+
+
+INJECTED = "injected engine error"
+
+
+def reject_frames_of_two_percepts(monkeypatch) -> None:
+    """Make the engine raise ``EngineError`` on any frame of two percepts.
+
+    Alignment keeps only pairs below tau, so no detection a reader accepts
+    makes it fail; the error is injected where its cost matrix is solved."""
+    solve = alignment.solve_assignment
+
+    def reject(values, tau):
+        if len(values) == 2:
+            raise EngineError(INJECTED)
+        return solve(values, tau)
+
+    monkeypatch.setattr(alignment, "solve_assignment", reject)
 
 
 def write_lines(path, lines) -> None:
@@ -701,24 +720,11 @@ class TestCli:
             "--tracker", "heuristic", "--world-out", str(tmp_path / "w.jsonl"),
         ]) == 1
 
-    def test_track_reports_costs_too_large_to_pad_and_exits_1(self, tmp_path, capsys):
-        # The second frame pairs two percepts with one track, at a cost of about 1e308.
+    def test_compare_names_the_file_and_frame_of_an_engine_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        reject_frames_of_two_percepts(monkeypatch)
         cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
-        far = dict(cube, id=1, pos=[1e154, 10])
-        path = tmp_path / "d.jsonl"
-        write_lines(path, [
-            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
-            {"frame": 1, "camera": [0, 0], "detections": [cube, far], "actions": []},
-        ])
-        assert main(["track", "--detections", str(path),
-                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: frame 1: cost matrix entries too large to pad"), err
-        assert "Traceback" not in err
-
-    def test_compare_names_the_file_and_frame_of_an_engine_error(self, tmp_path, capsys):
-        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
-        far = dict(cube, id=1, pos=[1e154, 10])
         truth = {"camera": [0, 0], "snitch_label": "visible",
                  "objects": [{"name": "snitch0", "type": "snitch", "pos": [10, 10],
                               "size": [18, 18]}]}
@@ -729,16 +735,38 @@ class TestCli:
         path = tmp_path / "b.detections.jsonl"
         write_lines(path, [
             {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
-            {"frame": 4, "camera": [0, 0], "detections": [cube, far], "actions": []},
+            {"frame": 4, "camera": [0, 0], "detections": [cube, dict(cube, id=1)],
+             "actions": []},
         ])
         write_lines(tmp_path / "b.truth.jsonl", [dict(truth, frame=0), dict(truth, frame=4)])
         assert main(["compare", "--scenarios", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: frame 4: cost matrix entries too large to pad"), err
+        assert err.startswith(f"error: {path}: frame 4: {INJECTED}"), err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("x", [1e154, 1e200], ids=["too-large-to-pad", "overflows-to-inf"])
-    def test_track_on_overflowing_costs_prints_only_the_error(self, tmp_path, capsys, x):
+    def test_track_on_an_engine_error_prints_only_the_error(self, tmp_path, capsys, monkeypatch):
+        reject_frames_of_two_percepts(monkeypatch)
+        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [
+            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+            {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1)],
+             "actions": []},
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["track", "--detections", str(path),
+                         "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        # One line that names the file and the frame, and no traceback.
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path}: frame 1: {INJECTED}"], lines
+
+    @pytest.mark.parametrize("x", [1e154, 1e200], ids=["1e154", "1e200"])
+    def test_track_on_overflowing_costs_leaves_the_far_percept_unmatched(
+        self, tmp_path, capsys, x
+    ):
+        # The far cube costs about 1e308 against the track, or overflows to
+        # inf: at or above tau either way, so it is never kept.
         cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
         path = tmp_path / "d.jsonl"
         write_lines(path, [
@@ -746,12 +774,13 @@ class TestCli:
             {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1, pos=[x, 10])],
              "actions": []},
         ])
+        world = tmp_path / "w.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would escape main
-            assert main(["track", "--detections", str(path),
-                         "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert main(["track", "--detections", str(path), "--world-out", str(world)]) == 0
+        assert capsys.readouterr().err == ""
+        last = json.loads(world.read_text(encoding="utf-8").splitlines()[-1])
+        assert [(a["id"], a["pos"]) for a in last["anchors"]] == [("cube0", [10.0, 10.0])]
 
     @pytest.mark.parametrize(
         "outputs, message",
