@@ -52,10 +52,11 @@ def sample_frames():
 
 
 INJECTED = "injected engine error"
+TOO_LARGE_TO_PAD = "cost matrix entries too large to pad"
 
 
-def reject_frames_of_two_percepts(monkeypatch) -> None:
-    """Make the engine raise ``EngineError`` on any frame of two percepts.
+def reject_frames_of_two_percepts(monkeypatch, message: str = INJECTED) -> None:
+    """Make the engine raise ``EngineError(message)`` on any frame of two percepts.
 
     Alignment keeps only pairs below tau, so no detection a reader accepts
     makes it fail; the error is injected where its cost matrix is solved."""
@@ -63,10 +64,22 @@ def reject_frames_of_two_percepts(monkeypatch) -> None:
 
     def reject(values, tau):
         if len(values) == 2:
-            raise EngineError(INJECTED)
+            raise EngineError(message)
         return solve(values, tau)
 
     monkeypatch.setattr(alignment, "solve_assignment", reject)
+
+
+def write_far_cube_stream(tmp_path, x: float):
+    """Write a stream whose second frame adds a cube at ``(x, 10)``; return its path."""
+    cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [
+        {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
+        {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1, pos=[x, 10])],
+         "actions": []},
+    ])
+    return path
 
 
 def write_lines(path, lines) -> None:
@@ -621,8 +634,8 @@ class TestEngineConfigLoading:
         assert_cli_error(capsys, path, field)
 
     def test_track_runs_with_a_huge_tau(self, tmp_path, capsys):
-        # Two tracks and one percept on the second frame: the assignment pads
-        # the cost matrix, which must not scale with tau.
+        # Two tracks and one percept on the second frame: the capped cost
+        # matrix must not scale with tau.
         detections = tmp_path / "d.jsonl"
         write_detection_stream(detections, sample_frames())
         path = write_config(tmp_path / "engine.json", {"tau": 1e308})
@@ -744,20 +757,30 @@ class TestCli:
         assert err.startswith(f"error: {path}: frame 4: {INJECTED}"), err
         assert "Traceback" not in err
 
-    def test_track_on_an_engine_error_prints_only_the_error(self, tmp_path, capsys, monkeypatch):
+    def test_track_reports_costs_too_large_to_pad_and_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Padding the assignment once raised this error on a far cube; the
+        # error is injected now, and the report must still name the file and
+        # the frame, exit 1 and show no traceback.
+        reject_frames_of_two_percepts(monkeypatch, TOO_LARGE_TO_PAD)
+        path = write_far_cube_stream(tmp_path, 1e154)
+        assert main(["track", "--detections", str(path),
+                     "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: frame 1: {TOO_LARGE_TO_PAD}"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x", [1e154], ids=["too-large-to-pad"])
+    def test_track_on_overflowing_costs_prints_only_the_error(
+        self, tmp_path, capsys, monkeypatch, x
+    ):
         reject_frames_of_two_percepts(monkeypatch)
-        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
-        path = tmp_path / "d.jsonl"
-        write_lines(path, [
-            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
-            {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1)],
-             "actions": []},
-        ])
+        path = write_far_cube_stream(tmp_path, x)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # a numpy overflow warning would escape main
             assert main(["track", "--detections", str(path),
                          "--predictions-out", str(tmp_path / "p.jsonl")]) == 1
-        # One line that names the file and the frame, and no traceback.
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: {path}: frame 1: {INJECTED}"], lines
 
@@ -767,13 +790,7 @@ class TestCli:
     ):
         # The far cube costs about 1e308 against the track, or overflows to
         # inf: at or above tau either way, so it is never kept.
-        cube = {"id": 0, "type": "cube", "score": 1.0, "pos": [10, 10], "size": [30, 30]}
-        path = tmp_path / "d.jsonl"
-        write_lines(path, [
-            {"frame": 0, "camera": [0, 0], "detections": [cube], "actions": []},
-            {"frame": 1, "camera": [0, 0], "detections": [cube, dict(cube, id=1, pos=[x, 10])],
-             "actions": []},
-        ])
+        path = write_far_cube_stream(tmp_path, x)
         world = tmp_path / "w.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would escape main
