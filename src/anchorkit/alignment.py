@@ -5,7 +5,8 @@ threshold ``tau``, and a least-total one-to-one assignment on the capped
 matrix gives the matches: its pairs below ``tau``, which together have the
 most total ``tau - cost``. A frame of at most ``_SMALL_CELLS`` pairs is built
 and read on Python floats, and where no two percepts share a cheapest kept
-track, those pairs are taken without the solver. ``compensate_camera_motion`` moves tracks into the next frame's image
+track, those pairs are taken without the solver.
+``compensate_camera_motion`` moves tracks into the next frame's image
 coordinates; the engine calls it before actions and alignment.
 """
 

@@ -496,6 +496,42 @@ class TestTruthFiles:
         assert_cli_error(capsys, preds, "prediction stream has 1 frames, scenario has 2")
 
 
+# Nested deeper than the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 2000 + "]" * 2000
+
+
+@pytest.mark.parametrize(
+    "name, line, command",
+    [("scn.detections.jsonl", 2, "track"), ("engine.json", None, "track"),
+     ("scn.truth.jsonl", 1, "eval"), ("preds.jsonl", 2, "eval"),
+     ("scenario.json", None, "simulate")],
+)
+def test_deeply_nested_json_is_an_error_naming_the_file(tmp_path, capsys, name, line, command):
+    prefix = tmp_path / "scn"
+    write_detection_stream(f"{prefix}.detections.jsonl", sample_frames())
+    write_lines(tmp_path / "scn.truth.jsonl", [truth_line(0), truth_line(2)])
+    write_predictions(tmp_path / "preds.jsonl", [None, None])
+    write_config(tmp_path / "engine.json", {})
+    path = tmp_path / name
+    if line is None:
+        path.write_text(DEEP_JSON, encoding="utf-8")
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = DEEP_JSON
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {
+        "track": ["track", "--detections", f"{prefix}.detections.jsonl",
+                  "--config", str(tmp_path / "engine.json"),
+                  "--predictions-out", str(tmp_path / "p.jsonl")],
+        "eval": ["eval", "--scenario", str(prefix),
+                 "--predictions", str(tmp_path / "preds.jsonl")],
+        "simulate": ["simulate", "--scenario-config", str(path), "--out", str(tmp_path / "o")],
+    }
+    assert main(argv[command]) == 1
+    where = path if line is None else f"{path}:{line}"
+    assert_cli_error(capsys, where, r"invalid JSON \(maximum recursion depth exceeded")
+
+
 # Finite floats, with the edges of the format drawn often: signed zeros,
 # subnormals and the largest magnitudes.
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
