@@ -1,11 +1,12 @@
 """Percept-to-anchor correspondence for consecutive frames.
 
-A dissimilarity matrix over (position, size) pairs is capped at the
-threshold ``tau``, and a least-total one-to-one assignment on the capped
-matrix gives the matches: its pairs below ``tau``, which together have the
-most total ``tau - cost``. A frame of at most ``_SMALL_CELLS`` pairs is built
-and read on Python floats, and where no two percepts share a cheapest kept
-track, those pairs are taken without the solver.
+A dissimilarity matrix over (position, size) pairs of the same object
+type is capped at the threshold ``tau``, and a least-total one-to-one
+assignment on the capped matrix gives the matches: its pairs below
+``tau``, which together have the most total ``tau - cost``. A frame of at
+most ``_SMALL_CELLS`` pairs is built and read on Python floats, and where
+no two percepts share a cheapest kept track, those pairs are taken without
+the solver.
 ``compensate_camera_motion`` moves tracks into the next frame's image
 coordinates; the engine calls it before actions and alignment.
 """
@@ -26,7 +27,7 @@ from .core import Anchor, Attributes, EngineConfig, EngineError, Percept, Vec2
 class CostMatrix:
     """Dissimilarity of every percept (row) against every track (column), in the order given."""
 
-    values: np.ndarray  # shape (n_percepts, n_anchors), non-negative
+    values: np.ndarray  # shape (n_percepts, n_anchors), non-negative; inf across types
 
 
 @dataclass(frozen=True)
@@ -84,34 +85,34 @@ _SMALL_CELLS = 64
 def build_cost_matrix(
     percepts: Sequence[Percept], anchors: Sequence[Anchor], config: EngineConfig
 ) -> CostMatrix:
-    """entry(i, j) = psi * ((dx*dx + dw*dw) + (dy*dy + dh*dh)).
+    """entry(i, j) = (dx*dx + dw*dw) + (dy*dy + dh*dh), or inf across types.
 
     dx, dy, dw and dh are the differences of the box centers and sizes of
     percept i and anchor j, so the sum is ||pos_i - pos_j||^2 +
-    ||size_i - size_j||^2, added in the order written. psi is 1 when object
-    types match and ``config.psi_mismatch`` otherwise. Either side may be
-    empty, yielding a degenerate matrix.
+    ||size_i - size_j||^2, added in the order written. A pair of different
+    object types costs inf and so never matches. Either side may be empty,
+    yielding a degenerate matrix.
     """
     n_p, n_a = len(percepts), len(anchors)
     if n_p == 0 or n_a == 0:
         return CostMatrix(np.zeros((n_p, n_a), dtype=float))
     if n_p * n_a <= _SMALL_CELLS:
         # The same operations in the same order, on Python floats.
-        psi = config.psi_mismatch
         tracks = [(k, x, y, w, h) for k, (x, y), (w, h) in (a.attributes for a in anchors)]
         rows = []
         for percept in percepts:
             kind, (x, y), (w, h) = percept.attributes
             row = []
             for other, ax, ay, aw, ah in tracks:
+                if other != kind:
+                    row.append(math.inf)
+                    continue
                 dx, dy = x - ax, y - ay
                 dw, dh = w - aw, h - ah
-                cost = (dx * dx + dw * dw) + (dy * dy + dh * dh)
-                row.append(cost if other == kind else cost * psi)
+                row.append((dx * dx + dw * dw) + (dy * dy + dh * dh))
             rows.append(row)
         return CostMatrix(np.array(rows, dtype=float))
-    # No overflow warning: a cost that overflowed to inf is never kept, and
-    # the product ``np.where`` discards may overflow harmlessly.
+    # No overflow warning: a cost that overflowed to inf is never kept.
     with np.errstate(over="ignore"):
         # x, y, w and h of every percept, then every anchor, one row per
         # axis; object types become integer codes from one dict.
@@ -128,9 +129,7 @@ def build_cost_matrix(
         values = diff[0] + diff[2]
         values += diff[1] + diff[3]
         kinds = np.array(types)
-        values = np.where(
-            kinds[:n_p, None] == kinds[n_p:], values, values * config.psi_mismatch
-        )
+        values = np.where(kinds[:n_p, None] == kinds[n_p:], values, np.inf)
     return CostMatrix(values)
 
 
@@ -149,8 +148,10 @@ def solve_assignment(values: np.ndarray, tau: float = math.inf) -> list[tuple[in
     Rows and columns without a kept cell take no part. Where no two of the
     other rows share a cheapest kept column (the lowest among equals), those
     cells are taken; otherwise ``linear_sum_assignment`` solves the capped
-    matrix of the rows and columns left, without padding. The kept cells of
-    a matrix of at most ``_SMALL_CELLS`` cells are found on Python floats.
+    matrix of the rows and columns left, without padding. Either way the tie
+    moves are then made; after the certificate, only a swap whose two totals
+    round to the same float can be left. The kept cells of a matrix of at
+    most ``_SMALL_CELLS`` cells are found on Python floats.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:

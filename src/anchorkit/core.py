@@ -181,13 +181,12 @@ class EngineConfig:
     """Tunable thresholds.
 
     ``tau`` is the maximum alignment cost for accepting a percept-anchor
-    match. ``psi_mismatch`` multiplies the cost when object types differ
-    (1 on a type match). ``kappa_anch`` gates hypothesis reasoning and the
-    anchors that ``tracker.query`` reports.
+    match; percepts and anchors of different types never match.
+    ``kappa_anch`` gates hypothesis reasoning and the anchors that
+    ``tracker.query`` reports.
     """
 
     tau: float = 6500.0
-    psi_mismatch: float = 5.0
     conf_inc: float = 0.1
     conf_dec: float = 0.1
     kappa_anch: float = 0.1
@@ -196,8 +195,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not (self.tau > 0):
             raise ConfigError("tau must be > 0")
-        if not (self.psi_mismatch >= 1):
-            raise ConfigError("psi_mismatch must be >= 1")
         if not (0 < self.conf_inc < 1) or not (0 < self.conf_dec < 1):
             raise ConfigError("conf_inc and conf_dec must lie in (0, 1)")
         if not (0 < self.kappa_anch <= 1):

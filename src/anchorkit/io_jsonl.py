@@ -18,11 +18,11 @@ Truth record: {"frame", "camera", "objects": [{"name", "type", "pos",
 "size"}], "snitch_label"}, the label being one of the subtasks ``visible``,
 ``occluded``, ``contained`` or ``carried``; prediction record: {"frame",
 "box": null | {"pos", "size"}}. Every stream is ordered by strictly
-increasing frame index; line k of a truth file carries the frame and
-camera of line k of its detection stream, and a prediction's frame is its
-0-based line position. A key outside a line's format is an error, JSON
-``true``/``false`` are not numbers, and every box size is > 0 in both
-components. Detection types must not start with ``cand``: the engine
+increasing, non-negative frame index; line k of a truth file carries the
+frame and camera of line k of its detection stream, and a prediction's
+frame is its 0-based line position. A key outside a line's format is an
+error, JSON ``true``/``false`` are not numbers, and every box size is > 0
+in both components. Detection types must not start with ``cand``: the engine
 reserves that prefix for the ids of provisional tracks.
 
 Of the actions, only ``contain`` and ``uncontain`` change the world model
@@ -32,9 +32,9 @@ Config files (engine and scenario) are one JSON object each, read by
 ``read_config_file``, which names the file in every error, including the
 errors of generating a scenario file's scenarios. Their fields
 pass the same checks as stream fields, and a key outside the known set
-is an error. An engine config takes ``tau``, ``psi_mismatch``,
-``conf_inc``, ``conf_dec``, ``kappa_anch`` and ``field_of_view``. Every
-stream writer replaces its file only once the whole stream is written.
+is an error. An engine config takes ``tau``, ``conf_inc``, ``conf_dec``,
+``kappa_anch`` and ``field_of_view``. Every stream writer replaces its file
+only once the whole stream is written.
 """
 
 from __future__ import annotations
@@ -321,6 +321,8 @@ def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
     frame_index = obj.get("frame")
     if type(frame_index) is not int:
         frame_index = integer(frame_index, "frame")  # raises
+    if frame_index < 0:
+        raise FieldError("frame must be >= 0")
     if frames and frame_index <= frames[-1].frame_index:
         previous = frames[-1].frame_index
         raise FieldError(f"frame index not strictly increasing ({frame_index} after {previous})")
@@ -634,7 +636,7 @@ def _truth_object(entry: dict, i: int) -> tuple[str, str, Box]:
 
 
 _ENGINE_FIELDS = {
-    **dict.fromkeys(("tau", "psi_mismatch", "conf_inc", "conf_dec", "kappa_anch"), number),
+    **dict.fromkeys(("tau", "conf_inc", "conf_dec", "kappa_anch"), number),
     "field_of_view": pair,
 }
 

@@ -18,11 +18,9 @@ from .core import (
     OCCLUDED,
     OUT_OF_VIEW,
     Anchor,
-    Attributes,
     EngineConfig,
     EngineError,
     FrameInput,
-    Percept,
     Vec2,
     WorldModel,
     validate_world_model,
@@ -61,26 +59,6 @@ _HELD_REASONS = {OCCLUDED: REASON_OCCLUDED, OUT_OF_VIEW: REASON_OUT_OF_VIEW}
 # The helpers below make the tracks and outcomes on the per-track paths of
 # ``step``. They pass every field positionally, which is cheaper than keywords
 # or ``._replace``.
-
-
-def _adopt(
-    track: Anchor, anchor_id: str, percept: Percept, frame_index: int, confidence: float
-) -> Anchor:
-    # A track keeps its own type; the percept's attributes are taken as they
-    # are when the types agree, as they nearly always do.
-    attrs = percept.attributes
-    kind = track.attributes.object_type
-    if attrs.object_type != kind:
-        attrs = Attributes(kind, attrs.position, attrs.size)
-    return Anchor(
-        anchor_id,
-        attrs,
-        confidence,
-        VISIBLE,
-        frame_index,
-        None,
-        None,
-    )
 
 
 def _restate(track: Anchor, status: str, confidence: float) -> Anchor:
@@ -186,7 +164,9 @@ def step(
                 anchor_id = f"{kind}{number}"
                 reason = REASON_NEWLY_ANCHORED
                 target = anchors
-            track = _adopt(track, anchor_id, percept, t, conf)
+            # A percept matches only a track of its own type, so the track
+            # takes the percept's attributes as they are.
+            track = Anchor(anchor_id, percept.attributes, conf, VISIBLE, t, None, None)
             target.append(track)
             outcomes.append(_outcome(track, reason))
 

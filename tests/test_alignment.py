@@ -101,18 +101,21 @@ class TestCostMatrix:
         cm = build_cost_matrix([percept], [anchor], EngineConfig())
         assert cm.values[0, 0] == pytest.approx(29.0)
 
-    def test_type_mismatch_multiplier(self):
+    def test_another_type_costs_inf(self):
         percept = make_percept(0, kind="cone", pos=(103.0, 104.0), size=(20.0, 22.0))
-        anchor = make_anchor("a0", kind="cube", pos=(100.0, 100.0), size=(20.0, 20.0))
-        cm = build_cost_matrix([percept], [anchor], EngineConfig(psi_mismatch=5.0))
-        assert cm.values[0, 0] == pytest.approx(145.0)
+        anchors = [
+            make_anchor("a0", kind="cube", pos=(103.0, 104.0), size=(20.0, 22.0)),
+            make_anchor("a1", kind="cone", pos=(100.0, 100.0), size=(20.0, 20.0)),
+        ]
+        cm = build_cost_matrix([percept], anchors, EngineConfig())
+        assert cm.values.tolist() == [[math.inf, 29.0]]
 
     def test_symmetric_under_swapping_sides(self):
         rng = np.random.default_rng(7)
         kinds = ["cube", "cone", "sphere"]
         a_specs = [(kinds[i % 3], tuple(rng.uniform(0, 300, 2)), tuple(rng.uniform(5, 40, 2))) for i in range(4)]
         b_specs = [(kinds[(i + 1) % 3], tuple(rng.uniform(0, 300, 2)), tuple(rng.uniform(5, 40, 2))) for i in range(5)]
-        config = EngineConfig(psi_mismatch=3.0)
+        config = EngineConfig()
         forward = build_cost_matrix(
             [make_percept(i, k, p, s) for i, (k, p, s) in enumerate(a_specs)],
             [make_anchor(f"x{i}", k, p, s) for i, (k, p, s) in enumerate(b_specs)],
@@ -134,7 +137,7 @@ class TestCostMatrix:
     def test_bit_identical_to_the_einsum_formula(self):
         # The cost as an einsum over (x, y, w, h) differences; the build must
         # give the same bits, not merely close values.
-        def einsum_cost(percepts, anchors, psi_mismatch):
+        def einsum_cost(percepts, anchors):
             if not percepts or not anchors:
                 return np.zeros((len(percepts), len(anchors)), dtype=float)
             pp = np.array(
@@ -147,8 +150,7 @@ class TestCostMatrix:
             dist = np.einsum("ijk,ijk->ij", diff, diff)
             p_types = np.array([p.attributes.object_type for p in percepts])
             a_types = np.array([a.attributes.object_type for a in anchors])
-            psi = np.where(p_types[:, None] == a_types[None, :], 1.0, psi_mismatch)
-            return psi * dist
+            return np.where(p_types[:, None] == a_types[None, :], dist, np.inf)
 
         rng = np.random.default_rng(31)
         kinds = ["cube", "cone", "sphere", "snitch"]
@@ -173,10 +175,9 @@ class TestCostMatrix:
 
             percepts = [make_percept(i, *spec) for i, spec in enumerate(side(n_p))]
             anchors = [make_anchor(f"a{i}", *spec) for i, spec in enumerate(side(n_a))]
-            psi = float(rng.choice([1.0, 3.7, 5.0]))
             with np.errstate(over="ignore"):  # cells past 1e154 overflow to inf
-                got = build_cost_matrix(percepts, anchors, EngineConfig(psi_mismatch=psi)).values
-                want = einsum_cost(percepts, anchors, psi)
+                got = build_cost_matrix(percepts, anchors, EngineConfig()).values
+                want = einsum_cost(percepts, anchors)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), trial
             checked += got.size
@@ -406,6 +407,24 @@ _attributes = st.builds(
 )
 
 
+def _close_side(kinds):
+    box = st.builds(
+        Attributes,
+        st.sampled_from(kinds),
+        st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+        st.tuples(st.floats(10.0, 30.0), st.floats(10.0, 30.0)),
+    )
+    return st.lists(box, max_size=10)
+
+
+# Frames of up to 10 x 10 boxes of two or three types, all within 40 px of
+# each other and 20 px of each other's size: on both sides of
+# ``_SMALL_CELLS``, and every pair of one type is below ``tau``.
+_close_frames = st.sampled_from((("cube", "cone"), ("cube", "cone", "snitch"))).flatmap(
+    lambda kinds: st.tuples(_close_side(kinds), _close_side(kinds))
+)
+
+
 class TestAlign:
     def test_no_anchors_all_percepts_unmatched(self):
         percepts = [make_percept(0), make_percept(1, pos=(50.0, 50.0))]
@@ -454,6 +473,21 @@ class TestAlign:
             return [(p.percept_id, a.anchor_id) for p, a, _ in result.matches]
 
         assert ids(base) == ids(shifted)
+
+    @settings(max_examples=200)
+    @given(frame=_close_frames)
+    def test_no_match_crosses_types(self, frame):
+        # Every same-type pair costs at most 2 * 40**2 + 2 * 20**2 < tau, so
+        # each type matches as many of its percepts as it has tracks.
+        percepts = [Percept(i, a) for i, a in enumerate(frame[0])]
+        tracks = tuple(Anchor(f"t{j}", a, 0.5, "visible", 0) for j, a in enumerate(frame[1]))
+        result = align(percepts, tracks, EngineConfig())
+        for percept, track, _ in result.matches:
+            assert percept.attributes.object_type == track.attributes.object_type
+        kinds = [[a.object_type for a in side] for side in frame]
+        assert len(result.matches) == sum(
+            min(kinds[0].count(k), kinds[1].count(k)) for k in set(kinds[0])
+        )
 
     @settings(max_examples=200)
     @given(
@@ -537,13 +571,12 @@ class TestSmallFrames:
     @settings(max_examples=300)
     @given(
         frame=_small_frames,
-        psi=st.sampled_from((1.0, 3.7, 5.0)),
         tau=st.sampled_from((6500.0, math.inf)),
     )
-    def test_same_costs_and_pairs_as_the_array_path(self, frame, psi, tau):
+    def test_same_costs_and_pairs_as_the_array_path(self, frame, tau):
         percepts = [Percept(i, a) for i, a in enumerate(frame[0])]
         tracks = [Anchor(f"t{j}", a, 0.5, "visible", 0) for j, a in enumerate(frame[1])]
-        config = EngineConfig(psi_mismatch=psi)
+        config = EngineConfig()
 
         def run():
             values = build_cost_matrix(percepts, tracks, config).values

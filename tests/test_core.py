@@ -217,7 +217,6 @@ def test_candidates_cannot_be_attached():
     [
         {"tau": 0.0},
         {"tau": -1.0},
-        {"psi_mismatch": 0.5},
         {"conf_inc": 0.0},
         {"conf_dec": 1.0},
         {"kappa_anch": 0.0},

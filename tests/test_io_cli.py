@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import tempfile
@@ -14,6 +15,7 @@ from anchorkit import alignment
 from anchorkit.cli import main
 from anchorkit.core import ATTACHED, Anchor, Attributes, ConfigError, EngineConfig, EngineError
 from anchorkit.io_jsonl import (
+    _ENGINE_FIELDS,
     StreamFormatError,
     load_engine_config,
     load_scenario,
@@ -171,6 +173,22 @@ class TestDetectionStreams:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
         with pytest.raises(StreamFormatError, match="strictly increasing"):
             read_detection_stream(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["track", "--tracker", "aapa"], ["track", "--tracker", "heuristic"], ["compare"]],
+        ids=["track-aapa", "track-heuristic", "compare"],
+    )
+    def test_a_negative_frame_index_is_an_error_of_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "neg.detections.jsonl"
+        write_lines(path, [{"frame": -2, "detections": []}, {"frame": 0, "detections": []}])
+        write_lines(tmp_path / "neg.truth.jsonl", [truth_line(-2), truth_line(0)])
+        if command == ["compare"]:
+            args = ["--scenarios", str(tmp_path)]
+        else:
+            args = ["--detections", str(path), "--predictions-out", str(tmp_path / "p.jsonl")]
+        assert main(command + args) == 1
+        assert_cli_error(capsys, f"{path}:1", r"frame must be >= 0\n$")
 
     def test_duplicate_percept_ids_rejected(self, tmp_path):
         path = tmp_path / "dupe.jsonl"
@@ -548,7 +566,7 @@ detection_type = st.text(min_size=1, max_size=6).filter(lambda t: not t.startswi
 @st.composite
 def detection_streams(draw):
     frames = []
-    for index in sorted(draw(st.sets(st.integers(-10**9, 10**9), max_size=4))):
+    for index in sorted(draw(st.sets(st.integers(0, 10**9), max_size=4))):
         ids = draw(st.lists(st.integers(-2**63, 2**63), unique=True, max_size=4))
         percepts = tuple(
             Percept(pid, Attributes(draw(detection_type), draw(vec), draw(box_size)),
@@ -620,13 +638,18 @@ class TestEngineConfigLoading:
 
     def test_file_round_trip(self, tmp_path):
         path = write_config(tmp_path / "config.json", {
-            "tau": 900, "psi_mismatch": 2.0, "conf_inc": 0.2, "conf_dec": 0.3,
+            "tau": 900, "conf_inc": 0.2, "conf_dec": 0.3,
             "kappa_anch": 0.2, "field_of_view": [640, 480.5],
         })
         assert load_engine_config(path) == EngineConfig(
-            tau=900.0, psi_mismatch=2.0, conf_inc=0.2, conf_dec=0.3,
+            tau=900.0, conf_inc=0.2, conf_dec=0.3,
             kappa_anch=0.2, field_of_view=(640.0, 480.5),
         )
+
+    def test_reader_keys_are_the_engine_config_fields(self):
+        # A field the reader knows but the config lacks would reach
+        # ``EngineConfig`` as an unexpected keyword, a traceback.
+        assert list(_ENGINE_FIELDS) == [f.name for f in dataclasses.fields(EngineConfig)]
 
     def test_unknown_spec_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="neither a preset"):
@@ -657,7 +680,7 @@ class TestEngineConfigLoading:
              "action_rules is not a known key"),
             ({"kapa_anch": 0.2}, "kapa_anch is not a known key"),
             ({"kappa_inf": 0.8}, r"kappa_inf is not a known key "
-             r"\(tau, psi_mismatch, conf_inc, conf_dec, kappa_anch, field_of_view\)$"),
+             r"\(tau, conf_inc, conf_dec, kappa_anch, field_of_view\)$"),
             ({"kappa_anch": 1.5}, r"kappa_anch must lie in \(0, 1\]"),
         ],
     )

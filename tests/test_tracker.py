@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from anchorkit.core import (
     ATTACHED,
     LOST,
+    OCCLUDED,
     VISIBLE,
     ActionEvent,
     Anchor,
@@ -67,14 +68,18 @@ def test_promotion_frame_reports_visible_status_and_single_outcome():
     assert engine.model.anchors[0].status == VISIBLE
 
 
-def test_a_match_of_another_type_keeps_the_track_type():
-    # With psi 1 a cone percept next to a cube anchor matches it; the anchor
-    # takes the percept's box and keeps its own type.
-    model = WorldModel(frame_index=0, anchors=(make_anchor("cube0"),))
+def test_a_percept_of_another_type_starts_a_candidate():
+    # A cone percept on a cube anchor never matches it: the cube is held as
+    # occluded behind the cone, in place, and the cone starts a candidate.
+    cube = make_anchor("cube0")
     percept = make_percept(0, kind="cone", pos=(103.0, 100.0), size=(22.0, 20.0))
-    model, outcomes = step(model, frame(1, [percept]), EngineConfig(psi_mismatch=1.0))
-    assert model.anchors[0].attributes == Attributes("cube", (103.0, 100.0), (22.0, 20.0))
-    assert [(o.anchor_id, o.reason) for o in outcomes] == [("cube0", "matched")]
+    model = WorldModel(frame_index=0, anchors=(cube,))
+    model, outcomes = step(model, frame(1, [percept]), CONFIG)
+    [held] = model.anchors
+    assert (held.status, held.attributes, held.last_seen_frame) == (OCCLUDED, cube.attributes, 0)
+    [candidate] = model.candidates
+    assert (candidate.attributes, candidate.last_seen_frame) == (percept.attributes, 1)
+    assert [(o.anchor_id, o.reason) for o in outcomes] == [("cube0", "occluder_overlap")]
 
 
 def test_empty_frame_on_empty_model_is_a_fixed_point():
@@ -146,6 +151,20 @@ def test_output_does_not_depend_on_percept_order(seed, order):
         return trace
 
     assert run(shuffled) == run(frames)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_track_id_never_changes_type_on_noisy_streams(seed):
+    # Ghosts of every type appear next to real objects; none takes over a
+    # track of another type.
+    noise = NoiseConfig(miss_rate=0.1, ghost_rate=0.1, jitter_sigma=1.0)
+    frames = generate(build_template("random", seed, noise=noise)).scenario.inputs
+    engine = AnchoringEngine(CONFIG)
+    kind_of: dict[str, str] = {}
+    for f in frames:
+        engine.step(f)
+        for track in engine.model.anchors + engine.model.candidates:
+            assert kind_of.setdefault(track.anchor_id, track.object_type) == track.object_type
 
 
 def test_static_scene_under_pure_camera_motion_matches_at_zero_cost():
