@@ -44,7 +44,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CANDIDATE_PREFIX,
@@ -262,7 +262,20 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def write_detection_stream(path, frames: Iterable[FrameInput]) -> None:
-    _write_lines(path, frames, _detection_payload, _plain_detection_line)
+    _write_lines(path, _readable_frames(path, frames), _detection_payload, _plain_detection_line)
+
+
+def _readable_frames(path, frames: Iterable[FrameInput]) -> Iterator[FrameInput]:
+    """``frames``, each frame index checked as ``read_detection_stream``
+    checks it; a bad one raises the reader's ``StreamFormatError``."""
+    previous = None
+    for line_no, frame in enumerate(frames, start=1):
+        try:
+            _check_frame_index(frame.frame_index, previous)
+        except FieldError as exc:
+            raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
+        previous = frame.frame_index
+        yield frame
 
 
 def _detection_payload(frame: FrameInput) -> dict:
@@ -316,16 +329,19 @@ def read_detection_stream(path) -> list[FrameInput]:
     return _parse_lines(path, _frame_input)
 
 
+def _check_frame_index(frame_index, previous: int | None) -> None:
+    if type(frame_index) is not int:
+        integer(frame_index, "frame")  # raises
+    if frame_index < 0:
+        raise FieldError("frame must be >= 0")
+    if previous is not None and frame_index <= previous:
+        raise FieldError(f"frame index not strictly increasing ({frame_index} after {previous})")
+
+
 def _frame_input(obj: dict, frames: list[FrameInput]) -> FrameInput:
     check_keys(obj, _FRAME_KEYS)
     frame_index = obj.get("frame")
-    if type(frame_index) is not int:
-        frame_index = integer(frame_index, "frame")  # raises
-    if frame_index < 0:
-        raise FieldError("frame must be >= 0")
-    if frames and frame_index <= frames[-1].frame_index:
-        previous = frames[-1].frame_index
-        raise FieldError(f"frame index not strictly increasing ({frame_index} after {previous})")
+    _check_frame_index(frame_index, frames[-1].frame_index if frames else None)
     camera = obj.get("camera", _ORIGIN)
     camera = _plain_pair(camera) or pair(camera, "camera")
     percepts = []
@@ -530,8 +546,17 @@ def _prediction(obj: dict, done: list) -> Box | None:
 
 
 def write_truth_stream(path, scenario: Scenario) -> None:
+    """One line per frame of ``scenario``, whose inputs, labels and object
+    lines must be as many; its frame indices are checked as
+    ``write_detection_stream`` checks them."""
+    inputs, labels, objects = scenario.inputs, scenario.labels, scenario.objects
+    if not len(inputs) == len(labels) == len(objects):
+        raise StreamFormatError(
+            f"{path}: scenario has {len(inputs)} frames, {len(labels)} labels "
+            f"and {len(objects)} object lines"
+        )
     _write_lines(
-        path, zip(scenario.inputs, scenario.labels, scenario.objects),
+        path, zip(_readable_frames(path, inputs), labels, objects),
         _truth_payload, _plain_truth_line,
     )
 

@@ -94,17 +94,21 @@ def step(
 ) -> tuple[WorldModel, list[HypothesisOutcome]]:
     """Run one full cycle and return the successor model plus per-track outcomes.
 
-    Stage order: camera compensation, action effects, alignment, a match pass
-    (matched tracks adopt their percept; candidates that reach the anchoring
-    threshold are promoted), attachment propagation, hypothesis
-    classification of every unmatched anchor in one call, a maintenance pass
-    (confidence decay and pruning), then candidate creation for unmatched
-    percepts. Both passes visit anchors, then candidates. A matched anchor
-    that was attached detaches implicitly and resumes independent tracking.
-    Percepts are taken in ``percept_id`` order, so the result depends on the
-    frame's set of percepts, never on the order ``frame.percepts`` lists them.
-    The stages pass anchor tuples; the successor model is built once, at the end.
-    Each outcome is read off the track the cycle built, pruned tracks included.
+    Stage order: camera compensation, action effects, alignment, hypothesis
+    classification of every unmatched, parentless anchor at the anchoring gate
+    in one call, one pass that decides each track once (anchors, then
+    candidates), attachment propagation, release of the children of pruned
+    tracks, then candidate creation for unmatched percepts. In the pass a
+    matched track adopts its percept and gains confidence, and a candidate
+    that reaches the anchoring threshold is promoted; an attached track
+    follows its parent; any other track is held, decayed or pruned. A matched
+    anchor that was attached detaches implicitly and resumes independent
+    tracking. Percepts are taken in ``percept_id`` order, so the result
+    depends on the frame's set of percepts, never on the order
+    ``frame.percepts`` lists them. The successor model is built once, at the
+    end. Outcomes list matched and newly anchored tracks first, then the rest,
+    each group in pass order; each is read off the track as it ends the
+    cycle, pruned tracks included.
 
     Raises ``EngineError`` when a track of ``model`` was seen after
     ``model.frame_index``, or when a candidate whose object type starts with
@@ -132,9 +136,23 @@ def step(
     result = align(percepts, anchors + candidates, config)
     match_for = {track.anchor_id: percept for percept, track, _ in result.matches}
 
-    # Match pass. A track's role is the store it sits in, never its id. Each
-    # pass reads the tuples in ``tracked`` and refills the two stores.
-    outcomes: list[HypothesisOutcome] = []
+    # Every unmatched, parentless anchor at the anchoring gate is classified
+    # in one call. The pass below changes nothing that classification reads.
+    held = [
+        a
+        for a in anchors
+        if a.anchor_id not in match_for and a.parent is None and a.confidence >= config.kappa_anch
+    ]
+    fate = dict(zip([a.anchor_id for a in held], classify_unmatched(held, percepts, config)))
+
+    # One pass decides each track. A track's role is the store it sits in,
+    # never its id; the pass reads ``tracked`` and refills the two stores.
+    # Candidates never have a parent and stay below kappa_anch. A follower's
+    # entry in ``rest`` is its id until propagation and release settle it.
+    first: list[HypothesisOutcome] = []
+    rest: list[HypothesisOutcome | str] = []
+    following = False
+    pruned: set[str] = set()
     next_instance = dict(model.next_instance)
     tracked = (anchors, candidates)
     anchors, candidates = [], []
@@ -146,98 +164,66 @@ def step(
                     f"after the model's frame {model.frame_index}"
                 )
             percept = match_for.get(track.anchor_id)
-            if percept is None:
+            if percept is not None:
+                conf, _ = update_confidence(track, True, config)
+                anchor_id = track.anchor_id
+                reason = REASON_MATCHED
+                target = store
+                if store is candidates and conf >= config.kappa_anch:
+                    kind = track.object_type
+                    if kind.startswith(CANDIDATE_PREFIX):
+                        raise EngineError(
+                            f"object type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}"
+                        )
+                    number = next_instance.get(kind, 0)
+                    next_instance[kind] = number + 1
+                    anchor_id = f"{kind}{number}"
+                    reason = REASON_NEWLY_ANCHORED
+                    target = anchors
+                # A percept matches only a track of its own type, so the track
+                # takes the percept's attributes as they are.
+                track = Anchor(anchor_id, percept.attributes, conf, VISIBLE, t, None, None)
+                target.append(track)
+                first.append(_outcome(track, reason))
+            elif track.parent is not None:
                 store.append(track)
-                continue
-            conf, _ = update_confidence(track, True, config)
-            anchor_id = track.anchor_id
-            reason = REASON_MATCHED
-            target = store
-            if store is candidates and conf >= config.kappa_anch:
-                kind = track.object_type
-                if kind.startswith(CANDIDATE_PREFIX):
-                    raise EngineError(
-                        f"object type {kind!r} uses the reserved prefix {CANDIDATE_PREFIX!r}"
-                    )
-                number = next_instance.get(kind, 0)
-                next_instance[kind] = number + 1
-                anchor_id = f"{kind}{number}"
-                reason = REASON_NEWLY_ANCHORED
-                target = anchors
-            # A percept matches only a track of its own type, so the track
-            # takes the percept's attributes as they are.
-            track = Anchor(anchor_id, percept.attributes, conf, VISIBLE, t, None, None)
-            target.append(track)
-            outcomes.append(_outcome(track, reason))
+                rest.append(track.anchor_id)
+                following = True
+            else:
+                status = LOST if store is candidates else fate.get(track.anchor_id, track.status)
+                track = _restate(track, status, track.confidence)
+                conf, prune = update_confidence(track, False, config)
+                track = _restate(track, status, conf)
+                # A pruned track stays in its store until propagation, so a
+                # parent pruned in this cycle still places its children.
+                store.append(track)
+                if prune:
+                    pruned.add(track.anchor_id)
+                reason = REASON_PRUNED if prune else _HELD_REASONS.get(status, REASON_DECAY)
+                rest.append(_outcome(track, reason))
 
     anchors = propagate_attachments(tuple(anchors))
-
-    # Frame indices strictly increase and no track was seen after the model's
-    # frame, so a track was matched in this cycle iff it was last seen at t.
-    # Every unmatched, parentless anchor at the anchoring gate is classified
-    # in one call.
-    held = [
-        a
-        for a in anchors
-        if a.last_seen_frame != t and a.parent is None and a.confidence >= config.kappa_anch
-    ]
-    fate = dict(zip([a.anchor_id for a in held], classify_unmatched(held, percepts, config)))
-
-    # Maintenance pass. Candidates never have a parent and stay below
-    # kappa_anch, so they skip the anchor-only branches.
-    tracked = (anchors, candidates)
-    anchors, candidates = [], []
-    pruned_ids: set[str] = set()
-    for store, tracks in zip((anchors, candidates), tracked):
-        for track in tracks:
-            if track.last_seen_frame == t:
-                store.append(track)
-                continue
-            if track.parent is not None:
-                store.append(track)
-                outcomes.append(_outcome(track, REASON_PARENT_FOLLOW))
-                continue
-            if store is candidates:
-                status = LOST
-            else:
-                status = fate.get(track.anchor_id, track.status)
-            track = _restate(track, status, track.confidence)
-            conf, prune = update_confidence(track, False, config)
-            track = _restate(track, status, conf)
-            if prune:
-                pruned_ids.add(track.anchor_id)
-                outcomes.append(_outcome(track, REASON_PRUNED))
-                continue
-            store.append(track)
-            reason = _HELD_REASONS.get(status, REASON_DECAY)
-            outcomes.append(_outcome(track, reason))
-
-    if pruned_ids:
-        # Children of pruned parents are released in place, lost, and get
-        # reclassified next cycle; each child's outcome reports the released track.
-        released = {
-            a.anchor_id: a._replace(parent=None, parent_offset=None, status=LOST)
+    if pruned:
+        # Pruned tracks leave their stores. Their children are released in
+        # place, lost, and get reclassified next cycle.
+        anchors = [
+            a._replace(parent=None, parent_offset=None, status=LOST) if a.parent in pruned else a
             for a in anchors
-            if a.parent in pruned_ids
-        }
-        if released:
-            anchors = [released.get(a.anchor_id, a) for a in anchors]
-            outcomes = [
-                _outcome(released[o.anchor_id], o.reason) if o.anchor_id in released else o
-                for o in outcomes
-            ]
+            if a.anchor_id not in pruned
+        ]
+        candidates = [c for c in candidates if c.anchor_id not in pruned]
+    if following:
+        settled = {a.anchor_id: a for a in anchors}
+        rest = [
+            _outcome(settled[o], REASON_PARENT_FOLLOW) if type(o) is str else o for o in rest
+        ]
 
     next_candidate = model.next_candidate
     for percept in result.unmatched_percepts:
-        cand = Anchor(
-            anchor_id=f"{CANDIDATE_PREFIX}{next_candidate}",
-            attributes=percept.attributes,
-            confidence=0.0,
-            status=VISIBLE,
-            last_seen_frame=t,
+        candidates.append(
+            Anchor(f"{CANDIDATE_PREFIX}{next_candidate}", percept.attributes, 0.0, VISIBLE, t)
         )
         next_candidate += 1
-        candidates.append(cand)
 
     new_model = WorldModel(
         frame_index=t,
@@ -252,7 +238,7 @@ def step(
         broken = validate_world_model(new_model)
         if broken:
             raise EngineError("world model invariants broken: " + "; ".join(broken))
-    return new_model, outcomes
+    return new_model, first + rest
 
 
 def query(model: WorldModel, config: EngineConfig) -> list[Anchor]:

@@ -351,6 +351,44 @@ def test_writers_reject_non_finite_numbers_by_path_and_line(tmp_path, write, ite
     assert list(tmp_path.iterdir()) == []  # no partial stream, no temporary file
 
 
+def truth_of(frames) -> Scenario:
+    """A scenario of ``frames`` with one visible snitch in each."""
+    n = len(frames)
+    return Scenario(tuple(frames), ("visible",) * n, ((("snitch0", "snitch", _BOX),),) * n)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [write_detection_stream, lambda path, frames: write_truth_stream(path, truth_of(frames))],
+    ids=["detections", "truth"],
+)
+@pytest.mark.parametrize(
+    "frames, error",
+    [
+        ([FrameInput(-1, ())], "1: frame must be >= 0"),
+        ([FrameInput(2, ()), FrameInput(2, ())],
+         "2: frame index not strictly increasing (2 after 2)"),
+    ],
+    ids=["negative", "repeated"],
+)
+def test_writers_refuse_the_frames_the_detection_reader_refuses(tmp_path, write, frames, error):
+    path = tmp_path / "stream.jsonl"
+    with pytest.raises(StreamFormatError, match=rf"^{re.escape(f'{path}:{error}')}$"):
+        write(path, frames)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_truth_stream_of_unequal_parts_is_refused_before_writing(tmp_path):
+    path = tmp_path / "scn.truth.jsonl"
+    scenario = dataclasses.replace(truth_of(sample_frames()), labels=("visible",))
+    with pytest.raises(
+        StreamFormatError,
+        match=rf"^{re.escape(f'{path}: scenario has 2 frames, 1 labels and 2 object lines')}$",
+    ):
+        write_truth_stream(path, scenario)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_failed_write_keeps_the_previous_file(tmp_path):
     path = tmp_path / "p.jsonl"
     write_predictions(path, [_BOX])

@@ -121,14 +121,25 @@ def anchor_dict(a: Anchor) -> dict:
     return entry
 
 
-def assert_written_as_encoded(write, items, dicts) -> None:
+def assert_written_as_encoded(write, items, dicts, *, ordered=False) -> None:
     """``write(path, items)`` writes ``_ENCODER.encode`` of each dict, one per
-    line, or raises the encoder's error for the first dict it rejects."""
+    line, or raises the encoder's error for the first dict it rejects. With
+    ``ordered``, a dict whose frame the detection reader refuses (below 0, or
+    not above the frame before it) raises the reader's error instead."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.jsonl"
         expected = []
+        previous = None
         for line_no, payload in enumerate(dicts, start=1):
             try:
+                frame = payload["frame"]
+                if ordered and frame < 0:
+                    raise ValueError("frame must be >= 0")
+                if ordered and previous is not None and frame <= previous:
+                    raise ValueError(
+                        f"frame index not strictly increasing ({frame} after {previous})"
+                    )
+                previous = frame
                 expected.append(_ENCODER.encode(payload) + "\n")
             except ValueError as exc:
                 with pytest.raises(StreamFormatError) as raised:
@@ -144,7 +155,9 @@ def assert_written_as_encoded(write, items, dicts) -> None:
 @given(data=st.data())
 def test_detection_lines_equal_the_encoder(data):
     frames = data.draw(st.lists(frame_inputs(data.draw(numbers)), max_size=3))
-    assert_written_as_encoded(write_detection_stream, frames, map(detection_dict, frames))
+    assert_written_as_encoded(
+        write_detection_stream, frames, map(detection_dict, frames), ordered=True
+    )
 
 
 @settings(max_examples=200)
@@ -178,7 +191,9 @@ def test_truth_lines_equal_the_encoder(data):
          "snitch_label": label}
         for frame, label, line in zip(inputs, labels, objects)
     ]
-    assert_written_as_encoded(write_truth_stream, Scenario(inputs, labels, objects), dicts)
+    assert_written_as_encoded(
+        write_truth_stream, Scenario(inputs, labels, objects), dicts, ordered=True
+    )
 
 
 @pytest.mark.parametrize(
@@ -188,7 +203,9 @@ def test_truth_lines_equal_the_encoder(data):
     ids=["three-coordinates", "int-too-long-to-print"],
 )
 def test_records_the_formatter_does_not_take_go_to_the_encoder(frame):
-    assert_written_as_encoded(write_detection_stream, [frame], [detection_dict(frame)])
+    assert_written_as_encoded(
+        write_detection_stream, [frame], [detection_dict(frame)], ordered=True
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -471,15 +471,30 @@ def test_camera_translation_moves_every_estimate_by_exactly_its_shift(stream):
             assert moved == ((x - cx, y - cy), size)
 
 
-def test_a_child_released_by_its_pruned_parent_reports_the_released_track():
+@pytest.mark.parametrize(
+    "parent_x, child_x, offset_x, camera_x, released_x",
+    [
+        (100.0, 100.0, 0.0, 0.0, 100.0),
+        # The parent pruned in this cycle still places its child: compensated
+        # and then following the parent, the child lands at (0.1 + 1.1) + 0.1
+        # = 1.3000000000000003, where compensating it alone gives 0.2 + 1.1 = 1.3.
+        (0.1, 0.2, 0.1, 1.1, 1.3000000000000003),
+    ],
+    ids=["still", "placed-by-the-pruned-parent"],
+)
+def test_a_child_released_by_its_pruned_parent_reports_the_released_track(
+    parent_x, child_x, offset_x, camera_x, released_x
+):
     # The child comes first, so its parent_follow outcome is written before
     # the parent is pruned; it must still describe the track the model holds.
-    child = make_anchor("snitch0", "snitch", status=ATTACHED, parent="cone0", offset=(0.0, 0.0))
-    parent = make_anchor("cone0", "cone", conf=0.05, status=LOST)
-    model = WorldModel(frame_index=0, anchors=(child, parent))
+    child = make_anchor("snitch0", "snitch", pos=(child_x, 100.0), status=ATTACHED,
+                        parent="cone0", offset=(offset_x, 0.0))
+    parent = make_anchor("cone0", "cone", pos=(parent_x, 100.0), conf=0.05, status=LOST)
+    model = WorldModel(frame_index=0, anchors=(child, parent), camera_pose=(camera_x, 0.0))
     model, outcomes = step(model, frame(1), CONFIG, check_invariants=True)
     released = by_id(model.anchors)["snitch0"]
     assert (released.status, released.parent) == (LOST, None)
+    assert released.attributes.position == (released_x, 100.0)
     assert [(o.anchor_id, o.reason) for o in outcomes] == [
         ("snitch0", "parent_follow"), ("cone0", "pruned")
     ]
@@ -497,9 +512,23 @@ def test_every_outcome_matches_the_track_the_successor_model_holds(stream):
     config = EngineConfig(conf_dec=0.4, field_of_view=(4096.0, 4096.0))
     model = WorldModel()
     for f in frames:
+        before = model
         model, outcomes = step(model, f, config)
         held = by_id(model.anchors + model.candidates)
         for outcome in outcomes:
             track = held.get(outcome.anchor_id)
             if track is not None:
                 assert outcome[1:4] == (track.status, track.confidence, track.attributes.position)
+        # One outcome per track of the predecessor, a promoted candidate under
+        # its new id, and none for a candidate created in this cycle.
+        reported = [o.anchor_id for o in outcomes]
+        promoted = {o.anchor_id for o in outcomes if o.reason == "newly_anchored"}
+        tracked = by_id(before.anchors + before.candidates)
+        assert len(set(reported)) == len(reported) == len(tracked)
+        assert set(reported) - promoted <= tracked.keys()
+        assert not promoted & tracked.keys()
+        assert tracked.keys() - set(reported) <= by_id(before.candidates).keys()
+        assert not set(reported) & (by_id(model.candidates).keys() - tracked.keys())
+        # Matched and newly anchored tracks come first.
+        first = [o.reason in ("matched", "newly_anchored") for o in outcomes]
+        assert first == sorted(first, reverse=True)
