@@ -33,8 +33,12 @@ Config files (engine and scenario) are one JSON object each, read by
 errors of generating a scenario file's scenarios. Their fields
 pass the same checks as stream fields, and a key outside the known set
 is an error. An engine config takes ``tau``, ``conf_inc``, ``conf_dec``,
-``kappa_anch`` and ``field_of_view``. Every stream writer replaces its file
-only once the whole stream is written.
+``kappa_anch`` and ``field_of_view``. Every stream writer formats each line
+itself, writes an int where a float goes as its float, and refuses by
+``path:line``, in the reader's words, a value the readers refuse for its
+type (NaN, infinities, ``true``, an int past the float range); value rules
+beyond type (sizes > 0, score range, the ``cand`` prefix) are the readers'.
+A writer replaces its file only once the whole stream is written.
 """
 
 from __future__ import annotations
@@ -207,15 +211,10 @@ _TRUTH_KEYS = dict.fromkeys(("frame", "camera", "objects", "snitch_label"))
 _TRUTH_OBJECT_KEYS = dict.fromkeys(("name", "type", "pos", "size"))
 
 
-# NaN and infinities are not JSON, and no reader here accepts them.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-
-
-def _write_lines(path, items: Iterable, payload, plain_line=None) -> None:
-    """Write one compact JSON line per item: ``plain_line(item)``, the line
-    formatted directly, or, where that gives ``None``, ``payload(item)``
-    encoded by ``_ENCODER``. A non-finite number raises
-    ``StreamFormatError`` naming ``path:line``.
+def _write_lines(path, items: Iterable, format_line) -> None:
+    """Write ``format_line(item)`` as one line per item. A ``ValueError``
+    from the formatter (a ``FieldError``, or an int too long to print)
+    raises ``StreamFormatError`` naming ``path:line``.
 
     The lines go to a temporary file beside ``path`` that replaces it only
     once every line is written, so a failed write leaves no partial stream
@@ -226,17 +225,9 @@ def _write_lines(path, items: Iterable, payload, plain_line=None) -> None:
         with open(temporary, "w", encoding="utf-8") as handle:
             for line_no, item in enumerate(items, start=1):
                 try:
-                    text = plain_line(item) if plain_line else None
-                except (TypeError, ValueError):
-                    # A shape the formatter does not take, or an int too long
-                    # to print: the encoder judges those.
-                    text = None
-                if text is None:
-                    obj = payload(item)
-                    try:
-                        text = _ENCODER.encode(obj)
-                    except ValueError as exc:
-                        raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
+                    text = format_line(item)
+                except ValueError as exc:
+                    raise StreamFormatError(f"{path}:{line_no}: {exc}") from None
                 handle.write(text + "\n")
         os.replace(temporary, path)
     except BaseException:
@@ -245,16 +236,29 @@ def _write_lines(path, items: Iterable, payload, plain_line=None) -> None:
         raise
 
 
-# The writers format a line themselves when its frame and ids are exact
-# ``int``s, its names exact ``str``s and its other numbers finite
-# ``float``s, and give ``None`` otherwise, so that the encoder writes the
-# line or raises its error. The text is the encoder's: a float's JSON form
-# is its ``repr``, and strings are quoted by the encoder's own function. A
-# sum of floats is finite only when every term is, which checks a line's
-# floats at once.
+# Each writer has one formatter per line. An entry of exact ``int`` ids,
+# exact ``str`` names and finite ``float``s passes an inline check; the
+# values of any other entry pass the field checks under the reader's labels,
+# which refuse what the readers refuse for its type (NaN, infinities,
+# ``true``, an int past the float range) and turn an int where a float goes
+# into its float. Both are formatted by the same f-string, whose text is the
+# JSON encoder's: a finite float's JSON form is its ``repr``, and strings
+# are quoted by the encoder's own function. A sum of floats is finite only
+# when every term is, which checks a line's floats at once.
 
 _INF = math.inf
 _quote = json.encoder.encode_basestring_ascii
+
+
+def _written_pair(value, label: str) -> Vec2:
+    """``value`` as two finite floats: itself when it is, else ``pair``'s result."""
+    try:
+        x, y = value
+        if float is type(x) is type(y) and -_INF < x + y < _INF:
+            return (x, y)
+    except (TypeError, ValueError):  # not two values: ``pair`` says so
+        pass
+    return pair(value, label)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def write_detection_stream(path, frames: Iterable[FrameInput]) -> None:
-    _write_lines(path, _readable_frames(path, frames), _detection_payload, _plain_detection_line)
+    _write_lines(path, _readable_frames(path, frames), _detection_line)
 
 
 def _readable_frames(path, frames: Iterable[FrameInput]) -> Iterator[FrameInput]:
@@ -278,49 +282,38 @@ def _readable_frames(path, frames: Iterable[FrameInput]) -> Iterator[FrameInput]
         yield frame
 
 
-def _detection_payload(frame: FrameInput) -> dict:
-    return {
-        "frame": frame.frame_index,
-        "camera": list(frame.camera_pose),
-        "detections": [
-            {
-                "id": p.percept_id,
-                "type": p.attributes.object_type,
-                "score": p.detector_score,
-                "pos": list(p.attributes.position),
-                "size": list(p.attributes.size),
-            }
-            for p in frame.percepts
-        ],
-        "actions": [{"name": a.name, "args": list(a.arguments)} for a in frame.actions],
-    }
-
-
-def _plain_detection_line(frame: FrameInput) -> str | None:
-    index, (cx, cy) = frame.frame_index, frame.camera_pose
-    if not (type(index) is int and float is type(cx) is type(cy) and -_INF < cx + cy < _INF):
-        return None
+def _detection_line(frame: FrameInput) -> str:
+    cx, cy = _written_pair(frame.camera_pose, "camera")
     detections = []
-    for pid, (kind, (x, y), (w, h)), score in frame.percepts:
-        if not (
-            type(pid) is int
-            and type(kind) is str
-            and float is type(x) is type(y) is type(w) is type(h) is type(score)
-            and -_INF < x + y + w + h + score < _INF
-        ):
-            return None
+    for i, (pid, (kind, pos, box_size), score) in enumerate(frame.percepts):
+        try:
+            (x, y), (w, h) = pos, box_size
+            plain = (
+                type(pid) is int
+                and type(kind) is str
+                and float is type(x) is type(y) is type(w) is type(h) is type(score)
+                and -_INF < x + y + w + h + score < _INF
+            )
+        except (TypeError, ValueError):
+            plain = False
+        if not plain:
+            label = f"detections[{i}]"
+            pid, kind = integer(pid, f"{label}.id"), string(kind, f"{label}.type")
+            (x, y), (w, h) = pair(pos, f"{label}.pos"), pair(box_size, f"{label}.size")
+            score = number(score, f"{label}.score")
         detections.append(
             f'{{"id":{pid!r},"type":{_quote(kind)},"score":{score!r},'
             f'"pos":[{x!r},{y!r}],"size":[{w!r},{h!r}]}}'
         )
     actions = []
-    for action in frame.actions:
+    for i, action in enumerate(frame.actions):
         name, args = action.name, action.arguments
         if not (type(name) is str and all(type(arg) is str for arg in args)):
-            return None
+            name = string(name, f"actions[{i}].name")
+            args = [string(arg, f"actions[{i}].args[{j}]") for j, arg in enumerate(args)]
         actions.append(f'{{"name":{_quote(name)},"args":[{",".join(map(_quote, args))}]}}')
     return (
-        f'{{"frame":{index!r},"camera":[{cx!r},{cy!r}],'
+        f'{{"frame":{frame.frame_index!r},"camera":[{cx!r},{cy!r}],'
         f'"detections":[{",".join(detections)}],"actions":[{",".join(actions)}]}}'
     )
 
@@ -458,53 +451,38 @@ def _plain_truth_object(entry: dict) -> tuple[str, str, Box] | None:
 
 
 def write_world_stream(path, frames: Iterable[tuple[int, Sequence[Anchor]]]) -> None:
-    _write_lines(path, frames, _world_payload, _plain_world_line)
+    _write_lines(path, frames, _world_line)
 
 
-def _world_payload(frame: tuple[int, Sequence[Anchor]]) -> dict:
+def _world_line(frame: tuple[int, Sequence[Anchor]]) -> str:
     frame_index, anchors = frame
-    return {"frame": frame_index, "anchors": list(map(_anchor_entry, anchors))}
-
-
-def _anchor_entry(a: Anchor) -> dict:
-    entry = {
-        "id": a.anchor_id,
-        "type": a.attributes.object_type,
-        "pos": list(a.attributes.position),
-        "size": list(a.attributes.size),
-        "conf": a.confidence,
-        "status": a.status,
-    }
-    if a.parent is not None:
-        entry["parent"] = a.parent
-    return entry
-
-
-def _plain_world_line(frame: tuple[int, Sequence[Anchor]]) -> str | None:
-    frame_index, anchors = frame
-    if type(frame_index) is not int:
-        return None
     entries = []
-    for a in anchors:
-        anchor_id, (kind, (x, y), (w, h)), conf = a.anchor_id, a.attributes, a.confidence
+    for i, a in enumerate(anchors):
+        anchor_id, (kind, pos, box_size), conf = a.anchor_id, a.attributes, a.confidence
         status, parent = a.status, a.parent
-        if not (
-            str is type(anchor_id) is type(kind) is type(status)
-            and float is type(x) is type(y) is type(w) is type(h) is type(conf)
-            and -_INF < x + y + w + h + conf < _INF
-        ):
-            return None
+        try:
+            (x, y), (w, h) = pos, box_size
+            plain = (
+                str is type(anchor_id) is type(kind) is type(status)
+                and float is type(x) is type(y) is type(w) is type(h) is type(conf)
+                and -_INF < x + y + w + h + conf < _INF
+            )
+        except (TypeError, ValueError):
+            plain = False
+        if not plain:
+            label = f"anchors[{i}]"
+            anchor_id, kind = string(anchor_id, f"{label}.id"), string(kind, f"{label}.type")
+            (x, y), (w, h) = pair(pos, f"{label}.pos"), pair(box_size, f"{label}.size")
+            conf, status = number(conf, f"{label}.conf"), string(status, f"{label}.status")
         entry = (
             f'{{"id":{_quote(anchor_id)},"type":{_quote(kind)},"pos":[{x!r},{y!r}],'
             f'"size":[{w!r},{h!r}],"conf":{conf!r},"status":{_quote(status)}'
         )
         if parent is None:
             entries.append(entry + "}")
-        elif type(parent) is str:
-            entries.append(f'{entry},"parent":{_quote(parent)}}}')
         else:
-            return None
-    return f'{{"frame":{frame_index!r},"anchors":[{",".join(entries)}]}}'
+            entries.append(f'{entry},"parent":{_quote(string(parent, f"anchors[{i}].parent"))}}}')
+    return f'{{"frame":{integer(frame_index, "frame")!r},"anchors":[{",".join(entries)}]}}'
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +490,15 @@ def _plain_world_line(frame: tuple[int, Sequence[Anchor]]) -> str | None:
 
 
 def write_predictions(path, predictions: Sequence[Box | None]) -> None:
-    _write_lines(path, enumerate(predictions), _prediction_payload)
+    _write_lines(path, enumerate(predictions), _prediction_line)
 
 
-def _prediction_payload(item: tuple[int, Box | None]) -> dict:
+def _prediction_line(item: tuple[int, Box | None]) -> str:
     frame_index, box = item
-    return {
-        "frame": frame_index,
-        "box": None if box is None else {"pos": list(box[0]), "size": list(box[1])},
-    }
+    if box is None:
+        return f'{{"frame":{frame_index},"box":null}}'
+    (x, y), (w, h) = _written_pair(box[0], "box.pos"), _written_pair(box[1], "box.size")
+    return f'{{"frame":{frame_index},"box":{{"pos":[{x!r},{y!r}],"size":[{w!r},{h!r}]}}}}'
 
 
 def read_predictions(path) -> list[Box | None]:
@@ -555,50 +533,34 @@ def write_truth_stream(path, scenario: Scenario) -> None:
             f"{path}: scenario has {len(inputs)} frames, {len(labels)} labels "
             f"and {len(objects)} object lines"
         )
-    _write_lines(
-        path, zip(_readable_frames(path, inputs), labels, objects),
-        _truth_payload, _plain_truth_line,
-    )
+    _write_lines(path, zip(_readable_frames(path, inputs), labels, objects), _truth_line)
 
 
-def _truth_payload(line: tuple[FrameInput, str, tuple]) -> dict:
+def _truth_line(line: tuple[FrameInput, str, tuple]) -> str:
     frame, label, objects = line
-    return {
-        "frame": frame.frame_index,
-        "camera": list(frame.camera_pose),
-        "objects": [
-            {"name": name, "type": kind, "pos": list(pos), "size": list(size)}
-            for name, kind, (pos, size) in objects
-        ],
-        "snitch_label": label,
-    }
-
-
-def _plain_truth_line(line: tuple[FrameInput, str, tuple]) -> str | None:
-    frame, label, objects = line
-    index, (cx, cy) = frame.frame_index, frame.camera_pose
-    if not (
-        type(index) is int
-        and type(label) is str
-        and float is type(cx) is type(cy)
-        and -_INF < cx + cy < _INF
-    ):
-        return None
+    cx, cy = _written_pair(frame.camera_pose, "camera")
     entries = []
-    for name, kind, ((x, y), (w, h)) in objects:
-        if not (
-            str is type(name) is type(kind)
-            and float is type(x) is type(y) is type(w) is type(h)
-            and -_INF < x + y + w + h < _INF
-        ):
-            return None
+    for i, (name, kind, (pos, box_size)) in enumerate(objects):
+        try:
+            (x, y), (w, h) = pos, box_size
+            plain = (
+                str is type(name) is type(kind)
+                and float is type(x) is type(y) is type(w) is type(h)
+                and -_INF < x + y + w + h < _INF
+            )
+        except (TypeError, ValueError):
+            plain = False
+        if not plain:
+            prefix = f"objects[{i}]"
+            name, kind = string(name, f"{prefix}.name"), string(kind, f"{prefix}.type")
+            (x, y), (w, h) = pair(pos, f"{prefix}.pos"), pair(box_size, f"{prefix}.size")
         entries.append(
             f'{{"name":{_quote(name)},"type":{_quote(kind)},'
             f'"pos":[{x!r},{y!r}],"size":[{w!r},{h!r}]}}'
         )
     return (
-        f'{{"frame":{index!r},"camera":[{cx!r},{cy!r}],'
-        f'"objects":[{",".join(entries)}],"snitch_label":{_quote(label)}}}'
+        f'{{"frame":{frame.frame_index!r},"camera":[{cx!r},{cy!r}],'
+        f'"objects":[{",".join(entries)}],"snitch_label":{_quote(string(label, "snitch_label"))}}}'
     )
 
 

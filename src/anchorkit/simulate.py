@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, ConfigError, FrameInput, Percept, Vec2,
-    all_finite, ancestors, chain_position,
+    CANDIDATE_PREFIX, CONTAIN, UNCONTAIN, ActionEvent, Attributes, Box, ConfigError, FrameInput,
+    Percept, Vec2, all_finite, ancestors, chain_position,
 )
 from .io_jsonl import (
     FieldError, check_keys, integer, list_of, number, pair, read_fields, size, string,
@@ -197,6 +197,14 @@ def _validate_objects(objects: Sequence[ObjectSpec]) -> int:
     if len(targets) != 1:
         raise SimulationError(f"exactly one {TARGET_TYPE} required, got {len(targets)}")
     for spec in objects:
+        # The detection reader's type rules, so that ``track`` reads what is written.
+        if not isinstance(spec.object_type, str) or not spec.object_type:
+            raise SimulationError(f"object {spec.name!r} needs a non-empty string type")
+        if spec.object_type.startswith(CANDIDATE_PREFIX):
+            raise SimulationError(
+                f"object {spec.name!r} type {spec.object_type!r} uses the reserved prefix "
+                f"{CANDIDATE_PREFIX!r}"
+            )
         if not all_finite(*spec.size, *spec.start):
             raise SimulationError(f"object {spec.name!r} has a non-finite size or start")
         if spec.size[0] <= 0 or spec.size[1] <= 0:

@@ -330,23 +330,36 @@ _BOX = ((50.5, 60.25), (18.0, 18.0))
 _NAN_BOX = ((float("nan"), 60.25), (18.0, 18.0))
 
 
+def detection_at(position) -> FrameInput:
+    return FrameInput(2, (Percept(0, Attributes("cone", position, (18.0, 18.0))),))
+
+
 @pytest.mark.parametrize(
-    "write, items",
+    "write, items, message",
     [
         (write_detection_stream,
-         sample_frames()[:1] + [FrameInput(2, (Percept(0, Attributes("cone", *_NAN_BOX)),))]),
+         sample_frames()[:1] + [FrameInput(2, (Percept(0, Attributes("cone", *_NAN_BOX)),))],
+         "detections[0].pos must be a pair of finite numbers"),
         (write_world_stream,
-         [(0, ()), (1, (Anchor("cone0", Attributes("cone", *_NAN_BOX), 0.7, "visible", 1),))]),
-        (write_predictions, [_BOX, _NAN_BOX]),
+         [(0, ()), (1, (Anchor("cone0", Attributes("cone", *_NAN_BOX), 0.7, "visible", 1),))],
+         "anchors[0].pos must be a pair of finite numbers"),
+        (write_predictions, [_BOX, _NAN_BOX], "box.pos must be a pair of finite numbers"),
         (write_truth_stream,
          Scenario(tuple(sample_frames()), ("visible", "visible"),
-                  ((("snitch0", "snitch", _BOX),), (("snitch0", "snitch", _NAN_BOX),)))),
+                  ((("snitch0", "snitch", _BOX),), (("snitch0", "snitch", _NAN_BOX),))),
+         "objects[0].pos must be a pair of finite numbers"),
+        # Values that are not finite floats: JSON `true`, an int past the float range.
+        (write_detection_stream, sample_frames()[:1] + [detection_at((True, 60.25))],
+         "detections[0].pos must be a pair of finite numbers"),
+        (write_detection_stream, sample_frames()[:1] + [detection_at((2**1100, 60.25))],
+         "detections[0].pos must be a pair of finite numbers"),
     ],
-    ids=["detections", "world", "predictions", "truth"],
+    ids=["detections", "world", "predictions", "truth", "detections-true",
+         "detections-int-past-float-range"],
 )
-def test_writers_reject_non_finite_numbers_by_path_and_line(tmp_path, write, items):
+def test_writers_reject_non_finite_numbers_by_path_and_line(tmp_path, write, items, message):
     path = tmp_path / "stream.jsonl"
-    with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}:2: Out of range float"):
+    with pytest.raises(StreamFormatError, match=rf"^{re.escape(f'{path}:2: {message}')}$"):
         write(path, items)
     assert list(tmp_path.iterdir()) == []  # no partial stream, no temporary file
 
@@ -1065,7 +1078,8 @@ class TestCli:
                                            "size": [18, 18], "start": [30, 90]}]},
                          "no feasible destination at distance", id="no-destination"),
             pytest.param(["--template", "carried", "--jitter-sigma", "1e308", "--frames", "220"],
-                         None, r".*scenario\.detections\.jsonl:\d+: Out of range float",
+                         None, r".*scenario\.detections\.jsonl:\d+: detections\[\d+\]\.pos "
+                         "must be a pair of finite numbers",
                          id="infinite-detections"),
         ],
     )
@@ -1155,6 +1169,11 @@ class TestScenarioConfigFiles:
              "event 0: unknown subject 'ball7'"),
             (scenario_json(camera=[[10, [0, 0]], [5, [0, 0]]]),
              "camera waypoint 1: frame 5 must come after 10"),
+            # Types the detection reader refuses, which `track` could not read back.
+            (scenario_json(objects=[dict(CONE, type=""), SNITCH]),
+             "object 'cone0' needs a non-empty string type"),
+            (scenario_json(objects=[dict(CONE, type="candle"), SNITCH]),
+             "object 'cone0' type 'candle' uses the reserved prefix 'cand'"),
         ],
     )
     def test_malformed_file_names_path_and_field(self, tmp_path, capsys, config, field):

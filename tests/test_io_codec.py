@@ -1,12 +1,13 @@
 """The readers' and writers' common-case paths, pinned against their references.
 
-The writers format each line themselves. Their output must equal what the
-encoder makes of the line's dict form, including the error of a line the
-encoder rejects, and the files ``simulate`` writes are pinned by hash. The
-readers accept a common entry without the labelled field checks. What they
-read, or the error they raise, must equal what the labelled checks alone
-give, and the common entries of simulated streams must not reach those
-checks or the encoder at all.
+The writers format each line themselves. Where every number of a line is an
+exact int or a finite float, their output must equal ``json.dumps`` of the
+line's dict form, an int where a float goes written as its float; any other
+line must be refused by ``path:line``, leaving no file. The files
+``simulate`` writes are pinned by hash. The readers accept a common entry
+without the labelled field checks. What they read, or the error they raise,
+must equal what the labelled checks alone give, and the common entries of
+simulated streams must not reach those checks at all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -31,11 +34,11 @@ from anchorkit import io_jsonl
 from anchorkit.cli import main
 from anchorkit.core import ActionEvent, Anchor, Attributes, FrameInput, Percept
 from anchorkit.io_jsonl import (
-    _ENCODER,
     StreamFormatError,
     load_engine_config,
     load_scenario,
     write_detection_stream,
+    write_predictions,
     write_truth_stream,
     write_world_stream,
 )
@@ -69,16 +72,15 @@ def test_simulated_files_are_pinned(tmp_path, capsys, case):
     assert hashes == SIMULATED[case]
 
 
-# Finite floats, the only numbers the writers format themselves besides
-# ints, and with them values the encoder rejects (1.8e308 is infinite) or
-# that are not exact floats. Half the examples draw only finite floats, so
-# that most of their lines are formatted directly.
+# Finite floats, which the writers write as they are, and with them values
+# they write as floats (ints) or refuse (1.8e308 is infinite, and ``true``
+# is not a number). A third of the examples draw only finite floats and a
+# third only those and ints, so that most of their lines are written.
 PLAIN = st.sampled_from(EDGE_FLOATS + (-0.0, 5e-324)) | st.floats(allow_nan=False,
                                                                  allow_infinity=False)
-ANY = PLAIN | st.sampled_from((1.8e308, -1.8e308, math.nan)) | st.integers(-2**70, 2**70) | (
-    st.booleans()
-)
-numbers = st.sampled_from((PLAIN, ANY))
+INTS = st.integers(-2**70, 2**70)
+ANY = PLAIN | st.sampled_from((1.8e308, -1.8e308, math.nan)) | INTS | st.booleans()
+numbers = st.sampled_from((PLAIN, PLAIN | INTS, ANY))
 big_int = st.sampled_from((0, -1, 2**63, -2**63, 10**30)) | st.integers(-2**70, 2**70)
 text = st.sampled_from(('"', "\\", "\x00\x1f\n\t", "\U0001f600", "\ud800", "cone", "é")) | (
     st.text(max_size=5)
@@ -99,13 +101,36 @@ def frame_inputs(draw, number):
     return FrameInput(draw(big_int), percepts, draw(vec), actions)
 
 
+class Refused(Exception):
+    """A line holds a value that the writers refuse."""
+
+
+def as_float(value) -> float:
+    """The JSON number written where a float goes: a finite float as it is,
+    an exact int as its float."""
+    try:
+        number = float(value) if type(value) is int else value
+    except OverflowError:  # an int past the float range
+        raise Refused from None
+    if type(number) is not float or not math.isfinite(number):
+        raise Refused
+    return number
+
+
+def floats(vec) -> list[float]:
+    if len(vec) != 2:
+        raise Refused
+    return [as_float(v) for v in vec]
+
+
 def detection_dict(frame: FrameInput) -> dict:
     return {
         "frame": frame.frame_index,
-        "camera": list(frame.camera_pose),
+        "camera": floats(frame.camera_pose),
         "detections": [
-            {"id": p.percept_id, "type": p.attributes.object_type, "score": p.detector_score,
-             "pos": list(p.attributes.position), "size": list(p.attributes.size)}
+            {"id": p.percept_id, "type": p.attributes.object_type,
+             "score": as_float(p.detector_score), "pos": floats(p.attributes.position),
+             "size": floats(p.attributes.size)}
             for p in frame.percepts
         ],
         "actions": [{"name": a.name, "args": list(a.arguments)} for a in frame.actions],
@@ -114,39 +139,47 @@ def detection_dict(frame: FrameInput) -> dict:
 
 def anchor_dict(a: Anchor) -> dict:
     entry = {"id": a.anchor_id, "type": a.attributes.object_type,
-             "pos": list(a.attributes.position), "size": list(a.attributes.size),
-             "conf": a.confidence, "status": a.status}
+             "pos": floats(a.attributes.position), "size": floats(a.attributes.size),
+             "conf": as_float(a.confidence), "status": a.status}
     if a.parent is not None:
         entry["parent"] = a.parent
     return entry
 
 
-def assert_written_as_encoded(write, items, dicts, *, ordered=False) -> None:
-    """``write(path, items)`` writes ``_ENCODER.encode`` of each dict, one per
-    line, or raises the encoder's error for the first dict it rejects. With
-    ``ordered``, a dict whose frame the detection reader refuses (below 0, or
-    not above the frame before it) raises the reader's error instead."""
+# The error of a value refused by its field check: "<label> must be a ...".
+FIELD_ERROR = r"[\w.\[\]]+ must be a (pair of finite numbers|finite number)"
+
+
+def assert_written_as_dumped(write, items, lines, dict_form, frame_of=None) -> None:
+    """``write(path, items)`` writes ``json.dumps`` of ``dict_form(line)``
+    for each of ``lines``, or refuses the first line whose form raises
+    ``Refused`` by its field error, leaving no file. With ``frame_of``, a
+    line whose frame the detection reader refuses (below 0, or not above
+    the frame before it) raises the reader's error instead."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.jsonl"
         expected = []
         previous = None
-        for line_no, payload in enumerate(dicts, start=1):
-            try:
-                frame = payload["frame"]
-                if ordered and frame < 0:
-                    raise ValueError("frame must be >= 0")
-                if ordered and previous is not None and frame <= previous:
-                    raise ValueError(
-                        f"frame index not strictly increasing ({frame} after {previous})"
-                    )
-                previous = frame
-                expected.append(_ENCODER.encode(payload) + "\n")
-            except ValueError as exc:
+        for line_no, line in enumerate(lines, start=1):
+            frame = frame_of(line) if frame_of else None
+            error = None
+            if frame is not None and frame < 0:
+                error = re.escape("frame must be >= 0")
+            elif frame is not None and previous is not None and frame <= previous:
+                error = re.escape(f"frame index not strictly increasing ({frame} after {previous})")
+            else:
+                try:
+                    obj = dict_form(line)
+                except Refused:
+                    error = FIELD_ERROR
+            if error is not None:
                 with pytest.raises(StreamFormatError) as raised:
                     write(path, items)
-                assert str(raised.value) == f"{path}:{line_no}: {exc}"
+                assert re.fullmatch(re.escape(f"{path}:{line_no}: ") + error, str(raised.value))
                 assert not path.exists()
                 return
+            previous = frame
+            expected.append(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
         write(path, items)
         assert path.read_bytes() == "".join(expected).encode("utf-8")
 
@@ -155,9 +188,8 @@ def assert_written_as_encoded(write, items, dicts, *, ordered=False) -> None:
 @given(data=st.data())
 def test_detection_lines_equal_the_encoder(data):
     frames = data.draw(st.lists(frame_inputs(data.draw(numbers)), max_size=3))
-    assert_written_as_encoded(
-        write_detection_stream, frames, map(detection_dict, frames), ordered=True
-    )
+    assert_written_as_dumped(write_detection_stream, frames, frames, detection_dict,
+                             lambda frame: frame.frame_index)
 
 
 @settings(max_examples=200)
@@ -170,9 +202,10 @@ def test_world_lines_equal_the_encoder(data):
         st.none() | text,
     )
     frames = data.draw(st.lists(st.tuples(big_int, st.lists(anchor, max_size=3)), max_size=3))
-    dicts = [{"frame": index, "anchors": [anchor_dict(a) for a in anchors]}
-             for index, anchors in frames]
-    assert_written_as_encoded(write_world_stream, frames, dicts)
+    assert_written_as_dumped(
+        write_world_stream, frames, frames,
+        lambda frame: {"frame": frame[0], "anchors": [anchor_dict(a) for a in frame[1]]},
+    )
 
 
 @settings(max_examples=200)
@@ -184,28 +217,46 @@ def test_truth_lines_equal_the_encoder(data):
     labels = tuple(data.draw(text) for _ in inputs)
     truth_object = st.tuples(text, text, st.tuples(vec, vec))
     objects = tuple(tuple(data.draw(st.lists(truth_object, max_size=3))) for _ in inputs)
-    dicts = [
-        {"frame": frame.frame_index, "camera": list(frame.camera_pose),
-         "objects": [{"name": name, "type": kind, "pos": list(pos), "size": list(size)}
-                     for name, kind, (pos, size) in line],
-         "snitch_label": label}
-        for frame, label, line in zip(inputs, labels, objects)
-    ]
-    assert_written_as_encoded(
-        write_truth_stream, Scenario(inputs, labels, objects), dicts, ordered=True
+
+    def truth_dict(line) -> dict:
+        frame, label, entries = line
+        return {"frame": frame.frame_index, "camera": floats(frame.camera_pose),
+                "objects": [{"name": name, "type": kind, "pos": floats(pos),
+                             "size": floats(size)} for name, kind, (pos, size) in entries],
+                "snitch_label": label}
+
+    assert_written_as_dumped(
+        write_truth_stream, Scenario(inputs, labels, objects), zip(inputs, labels, objects),
+        truth_dict, lambda line: line[0].frame_index,
+    )
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_prediction_lines_equal_the_encoder(data):
+    number = data.draw(numbers)
+    vec = st.tuples(number, number)
+    boxes = data.draw(st.lists(st.none() | st.tuples(vec, vec), max_size=4))
+    assert_written_as_dumped(
+        write_predictions, boxes, enumerate(boxes),
+        lambda line: {"frame": line[0], "box": None if line[1] is None else
+                      {"pos": floats(line[1][0]), "size": floats(line[1][1])}},
     )
 
 
 @pytest.mark.parametrize(
-    "frame",
-    [FrameInput(0, (Percept(0, Attributes("cone", (1.0, 2.0, 3.0), (4.0, 5.0))),)),
-     FrameInput(10**5000, ())],
+    "frame, error",
+    [(FrameInput(0, (Percept(0, Attributes("cone", (1.0, 2.0, 3.0), (4.0, 5.0))),)),
+      "detections[0].pos must be a pair of finite numbers"),
+     (FrameInput(10**5000, ()), "Exceeds the limit (4300 digits) for integer string conversion")],
     ids=["three-coordinates", "int-too-long-to-print"],
 )
-def test_records_the_formatter_does_not_take_go_to_the_encoder(frame):
-    assert_written_as_encoded(
-        write_detection_stream, [frame], [detection_dict(frame)], ordered=True
-    )
+def test_records_the_formatter_does_not_take_go_to_the_encoder(tmp_path, frame, error):
+    # A line the formatter does not take is refused: no line of another form is written.
+    path = tmp_path / "stream.jsonl"
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(f'{path}:1: {error}')}"):
+        write_detection_stream(path, [frame])
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +411,3 @@ def test_simulated_streams_read_without_the_labelled_checks(tmp_path):
     path.write_text(text.replace('"camera":[0.0,', '"camera":[0,', 1), encoding="utf-8")
     with pytest.raises(AssertionError, match="pair"):
         assert_no_labelled_check(prefix)
-
-
-def test_simulated_streams_are_written_without_the_encoder(tmp_path):
-    with mock.patch.object(_ENCODER, "encode", wraps=_ENCODER.encode) as encode:
-        write_crowd(tmp_path)
-        assert encode.call_count == 0
-        # The spy sees the encoder where a line needs it.
-        write_world_stream(tmp_path / "w.jsonl",
-                           [(0, (Anchor("cone0", Attributes("cone", (1, 2), (3, 4)), 0.5,
-                                        "visible", 0),))])
-        assert encode.call_count == 1

@@ -271,6 +271,11 @@ class TestScriptValidation:
                 objects=objects + (ObjectSpec("cube1", "cube", (30.0, 30.0), (np.inf, 60.0)),))),
                 "object 'cube1' has a non-finite size or start", id="infinite-start"),
             pytest.param(lambda objects: generate(ScenarioConfig(
+                seed=0, frames=50, script=(),
+                objects=objects + (ObjectSpec("cube1", "candle", (30.0, 30.0), (300.0, 60.0)),))),
+                "object 'cube1' type 'candle' uses the reserved prefix 'cand'",
+                id="reserved-type-prefix"),
+            pytest.param(lambda objects: generate(ScenarioConfig(
                 seed=0, frames=50, objects=objects,
                 script=(EventSpec("slide", "cone0", 10, 20, dest=(np.nan, 60.0)),))),
                 r"event 0: dest must be finite, got \(nan, 60.0\)", id="nan-dest"),
